@@ -1,9 +1,7 @@
 """Command-line driver.
 
 Predicate commands follow the shell contract 0 = true, 1 = false, 2 = error;
-reports go to stdout, diagnostics to stderr.  The driver itself is
-single-threaded; --threads is accepted for forward compatibility with the
-parallel sweeps inside the wrapped operations.
+reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -129,7 +127,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "standard_cross_check": report.standard_cross_check,
         "notes": list(report.notes),
         "budget": args.budget,
-        "seed": args.seed,
     }
     print(json.dumps(payload, separators=(", ", ": ")))
     return EXIT_TRUE if report.resolved else EXIT_FALSE
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"cyclotile {__version__} (instance format {FORMAT_VERSION})",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker hint for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run all three tiling verifiers on an instance file")
@@ -207,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the classification pipeline")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("shift", help="apply one fiber shift")
@@ -220,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="stream all complements of side a")
     p.add_argument("file")
-    p.add_argument("--complement", action="store_true", default=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("enumerate", help="stream all tilings of Z_m with |A| = size")

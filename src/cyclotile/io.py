@@ -62,7 +62,10 @@ class InstanceFile:
 
 
 def _check_sorted(values: list[int], m: int, name: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
+    try:
+        out = tuple(int(v) for v in values)
+    except TypeError as exc:
+        raise ValueError(f"{name}: expected an array of integers") from exc
     if any(not 0 <= v < m for v in out):
         raise ValueError(f"{name}: elements must lie in [0, {m})")
     if any(x >= y for x, y in zip(out, out[1:])):
@@ -110,6 +113,8 @@ def _parse_lines(text: str) -> InstanceFile:
             continue
         head, *rest = line.split()
         if head == "m":
+            if len(rest) != 1:
+                raise ValueError("the 'm' line takes exactly one value")
             m = int(rest[0])
         elif head in ("a", "b"):
             arrays[head] = tuple(sorted(int(v) for v in rest))

@@ -111,10 +111,6 @@ class Multiset:
         self._check_same_modulus(other)
         return Multiset(self.modulus, self.weights + other.weights)
 
-    def subtract(self, other: Multiset) -> Multiset:
-        self._check_same_modulus(other)
-        return Multiset(self.modulus, self.weights - other.weights)
-
     def scale(self, c: int) -> Multiset:
         return Multiset(self.modulus, self.weights * int(c))
 
@@ -151,10 +147,6 @@ class Multiset:
         idx = np.asarray([x % self.modulus.m for x in window], dtype=np.int64)
         w[idx] = self.weights[idx]
         return Multiset(self.modulus, w)
-
-    def mask_coefficients(self) -> np.ndarray:
-        """Coefficient vector of A(X) mod X^m - 1 (read-only view)."""
-        return self.weights
 
     # -- identity ---------------------------------------------------------------
 

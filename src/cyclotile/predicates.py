@@ -9,20 +9,23 @@ somewhere), True is one more data point.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import cyclo
 from .multiset import Multiset
 from .reduce import reduce_to_grid, subtile_condition, slab_instances_verify
 from .structure import (
+    GridView,
+    _top_divisor_profile,
     detect_diagonal_boxes,
     detect_extended_corner,
     grid_fiber_report,
-    grids_of,
     ijk_partition,
     is_m_fibered_on_grid,
     remove_fibers,
+    unfibered_grids,
 )
-from .tiling import Inapplicable, TilingInstance, div_set, verify_direct
-from .zm import Modulus
+from .tiling import Inapplicable, TilingInstance, verify_direct
 
 
 def _require(cond: bool, why: str) -> None:
@@ -41,8 +44,7 @@ def unfibered_grid_has_diagonal_boxes(t: TilingInstance, anchor: int) -> bool:
     _is_3prime_tiling(t)
     _require(cyclo.phi_divides(t.modulus.m, t.a), "needs the top cyclotomic on A")
     residual, _ = remove_fibers(t.a, anchor)
-    members = [x for x in t.modulus.grid(anchor, t.modulus.d_of_m) if x in t.a]
-    _require(bool(members), "grid restriction is empty")
+    _require(bool(GridView(t.modulus, anchor).occupancy(t.a).any()), "grid restriction is empty")
     _require(len(residual) > 0, "grid restriction is a disjoint union of fibers")
     return detect_diagonal_boxes(t.a, anchor).found
 
@@ -51,12 +53,10 @@ def fiber_union_not_fibered_has_extended_corner(t: TilingInstance, anchor: int) 
     """A nonempty disjoint union of M-fibers that is not fibered in any single
     direction contains an extended corner in some direction."""
     _is_3prime_tiling(t)
-    mod = t.modulus
-    members = [x for x in mod.grid(anchor, mod.d_of_m) if x in t.a]
-    _require(bool(members), "grid restriction is empty")
+    rep = grid_fiber_report(t.a, anchor)
+    _require(not rep.empty, "grid restriction is empty")
     residual, _ = remove_fibers(t.a, anchor)
     _require(len(residual) == 0, "grid restriction is not a union of fibers")
-    rep = grid_fiber_report(t.a, anchor)
     _require(not rep.fibered_any, "grid restriction is fibered in one direction")
     return any(detect_extended_corner(t.a, anchor, nu).found for nu in range(3))
 
@@ -65,27 +65,30 @@ def fiber_union_uses_two_directions(t: TilingInstance, anchor: int) -> bool:
     """A nonempty disjoint union of M-fibers decomposes using at most two
     directions."""
     _is_3prime_tiling(t)
-    mod = t.modulus
-    members = set(x for x in mod.grid(anchor, mod.d_of_m) if x in t.a)
-    _require(bool(members), "grid restriction is empty")
+    occ = GridView(t.modulus, anchor).occupancy(t.a)
+    _require(bool(occ.any()), "grid restriction is empty")
     residual, removed = remove_fibers(t.a, anchor)
     _require(len(residual) == 0, "grid restriction is not a union of fibers")
     # Search for an assignment using at most two directions.
     for skip in range(3):
         dirs = [nu for nu in range(3) if nu != skip]
-        if _fiber_cover_with_dirs(mod, members, dirs):
+        if _fiber_cover_with_dirs(occ, dirs):
             return True
     return False
 
 
-def _fiber_cover_with_dirs(mod: Modulus, members: set[int], dirs: list[int]) -> bool:
-    if not members:
+def _fiber_cover_with_dirs(occ: np.ndarray, dirs: list[int]) -> bool:
+    """Whether the occupied cells split into whole lines along the axes dirs."""
+    cells = np.argwhere(occ)
+    if not len(cells):
         return True
-    x = min(members)
+    c = tuple(cells[0])
     for nu in dirs:
-        fib = set(mod.fiber(x, nu))
-        if fib <= members:
-            if _fiber_cover_with_dirs(mod, members - fib, dirs):
+        line = c[:nu] + (slice(None),) + c[nu + 1 :]
+        if occ[line].all():
+            rest = occ.copy()
+            rest[line] = False
+            if _fiber_cover_with_dirs(rest, dirs):
                 return True
     return False
 
@@ -186,7 +189,6 @@ def missing_divisor_profile_matches(t: TilingInstance) -> bool:
     mod = t.modulus
     _require(cyclo.phi_divides(mod.m, t.a), "needs the top cyclotomic on A")
     _require(all(p % 2 == 1 for p, _ in mod.primes), "odd modulus only")
-    top = frozenset(d for d in mod.divisors if d % mod.d_of_m == 0)
     pair_type = set()
     for nu in range(3):
         others = [x for x in range(3) if x != nu]
@@ -194,12 +196,8 @@ def missing_divisor_profile_matches(t: TilingInstance) -> bool:
         for o in others:
             val //= mod.primes[o][0]
         pair_type.add(val)
-    for anchor in grids_of(mod):
-        rep = grid_fiber_report(t.a, anchor)
-        if rep.empty or rep.fibered_any:
-            continue
-        members = [x for x in mod.grid(anchor, mod.d_of_m) if x in t.a]
-        missing = top - div_set(Multiset.from_set(mod, members)).members
+    for anchor in unfibered_grids(t.a):
+        _, missing = _top_divisor_profile(t.a, anchor)
         if not missing:
             continue
         if not missing <= pair_type:

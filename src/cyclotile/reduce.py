@@ -19,12 +19,12 @@ import numpy as np
 
 from . import cyclo
 from .multiset import Multiset
+from .search import _canonical_translate
 from .structure import (
-    grid_fiber_report,
-    grids_of,
     classify_unfibered_grid,
     ijk_partition,
     StructureFinding,
+    unfibered_grids,
 )
 from .tiling import TilingInstance, verify_direct, verify_poly, verify_sands
 from .zm import Modulus
@@ -162,15 +162,6 @@ def _is_grid(mod: Modulus, support: frozenset[int]) -> bool:
     return all(x % d == anchor for x in support)
 
 
-def _canonical_support(mod: Modulus, support: frozenset[int]) -> tuple[int, ...]:
-    best = None
-    for t in support:
-        cand = tuple(sorted((x - t) % mod.m for x in support))
-        if best is None or cand < best:
-            best = cand
-    return best  # type: ignore[return-value]
-
-
 def _grid_completion_score(mod: Modulus, support: frozenset[int]) -> int:
     """max over grids of |support on the grid| (higher = closer to a grid)."""
     counts: dict[int, int] = {}
@@ -238,7 +229,7 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
         out.sort(key=lambda sm: (sm[0], sm[1].direction, sm[1].root, sm[1].target))
         return out
 
-    seen = {_canonical_support(mod, start_support)}
+    seen = {_canonical_translate(start_support, mod.m)}
     heap: list[tuple[int, int, frozenset[int], tuple[ShiftMove, ...]]] = []
     counter = 0
     heapq.heappush(
@@ -252,7 +243,7 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
             nxt = _apply_shift_unchecked(support, mod, move)
             if nxt is None:
                 continue
-            key = _canonical_support(mod, nxt)
+            key = _canonical_translate(nxt, mod.m)
             if key in seen:
                 continue
             seen.add(key)
@@ -419,15 +410,9 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         )
 
     structures: list[StructureFinding] = []
-    unfibered_anchor = None
-    for anchor in grids_of(mod):
-        rep = grid_fiber_report(t.a, anchor)
-        if not rep.empty and not rep.fibered_any:
-            unfibered_anchor = anchor
-            break
-
-    if unfibered_anchor is not None:
-        finding = classify_unfibered_grid(t.a, unfibered_anchor)
+    unfibered = unfibered_grids(t.a)
+    if unfibered:
+        finding = classify_unfibered_grid(t.a, unfibered[0])
         structures.append(finding)
         trace = reduce_to_grid(t, budget)
         if trace is not None and trace.ok:

@@ -39,14 +39,19 @@ def _lsb_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _canonical_translate(elems: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Lexicographically least translate (it always starts at 0)."""
-    best: tuple[int, ...] | None = None
-    for t in elems:
-        cand = tuple(sorted((e - t) % m for e in elems))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else elems
+def _canonical_translate(elems: Iterable[int], m: int) -> tuple[int, ...]:
+    """Lexicographically least translate of a subset of Z_m (it starts at 0).
+
+    The translate starting at the i-th smallest element is the run of partial
+    sums of the cyclic gap sequence rotated to start at i, and partial sums of
+    positive gaps order as the gaps do: the least rotation gives the answer.
+    """
+    xs = sorted(e % m for e in elems)
+    if not xs:
+        return ()
+    gaps = [y - x for x, y in zip(xs, xs[1:])] + [xs[0] + m - xs[-1]]
+    i = min(range(len(xs)), key=lambda i: gaps[i:] + gaps[:i])
+    return tuple((x - xs[i]) % m for x in xs[i:] + xs[:i])
 
 
 def _equidistribution_quotas(m: int, own: int, other: int) -> list[tuple[int, int]]:

@@ -1,11 +1,15 @@
 """Fibering analysis and structure detection on top-scale grids.
 
 A D(M)-grid of a 3-prime modulus is identified with the coordinate box
-Z_{p_i} x Z_{p_j} x Z_{p_k}; the detectors below classify how a set meets
-such a grid: fibered directions, diagonal boxes, corners and extended
-corners, full planes, almost corners, and the even-modulus variants.  The
-classification dispatches on which top divisors (multiples of D(M)) occur
-among the differences of the grid restriction.
+Z_{p_i} x Z_{p_j} x Z_{p_k}, and all grids of a multiset together form one
+(D, p_i, p_j, p_k) tensor (`grid_tensor`), built by a single index.  On it,
+"M-fibered in direction nu" is "constant along axis nu", a transverse 2d
+slice is a take along that axis, and fiber stripping clears lines.  The
+detectors below classify how a set meets a grid: fibered directions,
+diagonal boxes, corners and extended corners, full planes, almost corners,
+and the even-modulus variants.  The classification dispatches on which top
+divisors (multiples of D(M)) occur among the differences of the grid
+restriction.
 """
 
 from __future__ import annotations
@@ -25,6 +29,40 @@ from .zm import Modulus
 _SUBSET_ENUM_GUARD = 1_000_000
 
 
+@lru_cache(maxsize=None)
+def _box_offsets(mod: Modulus) -> np.ndarray:
+    """y(c) = sum_nu c_nu * (M/D)/p_nu mod M/D for every cell c of the box
+    Z_{p_1} x ... x Z_{p_r}; cell c of the grid through r holds r + D*y(c)."""
+    q = mod.m // mod.d_of_m
+    cells = np.indices(mod.prime_list)
+    out = sum(c * (q // p) for c, p in zip(cells, mod.prime_list)) % q
+    out.setflags(write=False)
+    return out
+
+
+def grid_tensor(a: Multiset) -> np.ndarray:
+    """Weights of A on every D(M)-grid at once, shape (D, p_1, ..., p_r).
+
+    Entry [r, c] is the weight at r + D*y(c).  Moving by M/p_nu steps axis
+    nu + 1 by one, so the M-fibers in direction nu are the lines along it."""
+    mod = a.modulus
+    return a.weights.reshape(-1, mod.d_of_m).T[:, _box_offsets(mod)]
+
+
+def _grid(a: Multiset, anchor: int) -> tuple[np.ndarray, np.ndarray]:
+    """(occupancy, elements) boxes of the grid through anchor: which cells A
+    meets, and the element each cell holds."""
+    mod = a.modulus
+    d = mod.d_of_m
+    return grid_tensor(a)[anchor % d] != 0, anchor % d + d * _box_offsets(mod)
+
+
+def _fibered(t: np.ndarray, axis: int) -> np.ndarray:
+    """For each index of the leading axis, whether t is constant along `axis`:
+    a 0/1 array then meets every line along that axis fully or not at all."""
+    return (t == t.take([0], axis=axis)).reshape(len(t), -1).all(axis=1)
+
+
 class GridView:
     """A D(M)-grid with its coordinate identification.
 
@@ -38,31 +76,16 @@ class GridView:
         self.mod = mod
         self.d = mod.d_of_m
         self.anchor = anchor % self.d
-        self.sizes = tuple(p for p, _ in mod.primes)
-        self._quot = Modulus.of(mod.m // self.d) if mod.m // self.d > 1 else None
-
-    def elements(self) -> tuple[int, ...]:
-        return self.mod.grid(self.anchor, self.d)
-
-    def coords(self, x: int) -> tuple[int, ...]:
-        if (x - self.anchor) % self.d != 0:
-            raise ValueError(f"{x} is not on the grid")
-        y = ((x - self.anchor) % self.mod.m) // self.d
-        assert self._quot is not None
-        return self._quot.array_coords(y)
+        self.sizes = mod.prime_list
 
     def from_coords(self, coords: tuple[int, ...]) -> int:
-        assert self._quot is not None
-        y = self._quot.from_coords(coords)
-        return (self.anchor + y * self.d) % self.mod.m
+        if len(coords) != 3 or not all(0 <= c < p for c, p in zip(coords, self.sizes)):
+            raise ValueError(f"coordinates {coords} lie outside the box {self.sizes}")
+        return int(self.anchor + self.d * _box_offsets(self.mod)[tuple(coords)])
 
     def occupancy(self, a: Multiset) -> np.ndarray:
         """Boolean array over Z_{p_i} x Z_{p_j} x Z_{p_k} marking members of a."""
-        occ = np.zeros(self.sizes, dtype=bool)
-        for x in self.elements():
-            if x in a:
-                occ[self.coords(x)] = True
-        return occ
+        return _grid(a, self.anchor)[0]
 
 
 def grids_of(mod: Modulus) -> tuple[int, ...]:
@@ -70,26 +93,19 @@ def grids_of(mod: Modulus) -> tuple[int, ...]:
     return tuple(range(mod.d_of_m))
 
 
+def _fiber_roots(occ: np.ndarray, elements: np.ndarray, nu: int) -> tuple[bool, tuple[int, ...]]:
+    """(fibered in direction nu, sorted least elements of the full fibers) of
+    one grid's occupancy box."""
+    if not _fibered(occ[None], nu + 1)[0]:
+        return False, ()
+    return True, tuple(sorted(elements.min(axis=nu)[occ.all(axis=nu)].tolist()))
+
+
 def is_m_fibered_on_grid(a: Multiset, anchor: int, nu: int) -> tuple[bool, tuple[int, ...]]:
     """Whether A meets the grid in a disjoint union of full M-fibers in the
     p_nu direction; returns (verdict, fiber roots).  Empty intersection is
     vacuously fibered with no roots."""
-    mod = a.modulus
-    d = mod.d_of_m
-    p = mod.primes[nu][0]
-    step = mod.m // p
-    members = [x for x in mod.grid(anchor, d) if x in a]
-    if not members:
-        return True, ()
-    groups: dict[int, list[int]] = {}
-    for x in members:
-        groups.setdefault(x % step, []).append(x)
-    roots = []
-    for r, xs in sorted(groups.items()):
-        if len(xs) != p:
-            return False, ()
-        roots.append(min(xs))
-    return True, tuple(sorted(roots))
+    return _fiber_roots(*_grid(a, anchor), nu)
 
 
 @dataclass(frozen=True)
@@ -106,21 +122,24 @@ class GridFiberReport:
 
 def grid_fiber_report(a: Multiset, anchor: int) -> GridFiberReport:
     mod = a.modulus
-    members = [x for x in mod.grid(anchor, mod.d_of_m) if x in a]
-    if not members:
+    occ, elements = _grid(a, anchor)
+    if not occ.any():
         return GridFiberReport(anchor, True, (True,) * mod.num_primes, ((),) * mod.num_primes)
-    flags, roots = [], []
-    for nu in range(mod.num_primes):
-        f, r = is_m_fibered_on_grid(a, anchor, nu)
-        flags.append(f)
-        roots.append(r)
-    return GridFiberReport(anchor, False, tuple(flags), tuple(roots))
+    flags, roots = zip(*(_fiber_roots(occ, elements, nu) for nu in range(mod.num_primes)))
+    return GridFiberReport(anchor, False, flags, roots)
+
+
+def unfibered_grids(a: Multiset) -> list[int]:
+    """Anchors of the grids that A meets but is M-fibered on in no direction
+    (an empty grid is fibered in every direction)."""
+    occ = grid_tensor(a) != 0
+    fibered = np.logical_or.reduce([_fibered(occ, nu + 1) for nu in range(a.modulus.num_primes)])
+    return np.flatnonzero(~fibered).tolist()
 
 
 def fibered_on_all_grids(a: Multiset) -> bool:
     """Every nonempty grid restriction is M-fibered in at least one direction."""
-    return all(grid_fiber_report(a, g).empty or grid_fiber_report(a, g).fibered_any
-               for g in grids_of(a.modulus))
+    return not unfibered_grids(a)
 
 
 # -- the I/J/K membership partition ------------------------------------------------
@@ -227,14 +246,7 @@ def detect_diagonal_boxes(a: Multiset, anchor: int) -> StructureFinding:
     if prod((2**p - 2) for p in grid.sizes) > _SUBSET_ENUM_GUARD:
         raise ValueError("prime sizes too large for exhaustive subset search")
     # Bitmask layers: for each i, the allowed (j, k) cells as bit j*pk + k.
-    layer = []
-    for i in range(pi):
-        bits = 0
-        for j in range(pj):
-            for k in range(pk):
-                if occ[i, j, k]:
-                    bits |= 1 << (j * pk + k)
-        layer.append(bits)
+    layer = [sum(1 << b for b in np.flatnonzero(occ[i]).tolist()) for i in range(pi)]
     all_jk = (1 << (pj * pk)) - 1
 
     def and_over(rows: tuple[int, ...]) -> int:
@@ -277,85 +289,56 @@ def detect_diagonal_boxes(a: Multiset, anchor: int) -> StructureFinding:
     return StructureFinding("none")
 
 
-def _subgrid_2d(mod: Modulus, x: int, nu: int) -> tuple[int, ...]:
-    """x * F_j * F_k for the two directions other than nu (a 2d grid slice)."""
+def _transverse_planes(occ: np.ndarray, mod: Modulus, nu: int):
+    """Flags of the grid's 2d slices c_nu = s: `nonempty[s]`, and for each
+    other direction d, `union[d][s]` when the slice meets A in a nonempty
+    union of d-fibers and `single[d][s]` when in exactly one."""
+    planes = np.moveaxis(occ, nu, 0)
+    count = planes.reshape(len(planes), -1).sum(axis=1)
     others = [k for k in range(3) if k != nu]
-    out = [x]
-    for k in others:
-        step = mod.m // mod.primes[k][0]
-        out = [(y + t * step) % mod.m for y in out for t in range(mod.primes[k][0])]
-    return tuple(sorted(out))
+    union = {d: _fibered(planes, 1 + i) & (count > 0) for i, d in enumerate(others)}
+    single = {d: union[d] & (count == mod.primes[d][0]) for d in others}
+    return count > 0, union, single
 
 
-def _fibered_within(a: Multiset, cells: tuple[int, ...], nu: int) -> bool:
-    """Whether A's trace on the cells is a nonempty disjoint union of full
-    p_nu-fibers (all fibers entirely inside the cells)."""
-    mod = a.modulus
-    p = mod.primes[nu][0]
-    step = mod.m // p
-    members = [x for x in cells if x in a]
-    if not members:
-        return False
-    groups: dict[int, int] = {}
-    for x in members:
-        groups[x % step] = groups.get(x % step, 0) + 1
-    return all(c == p for c in groups.values())
+def _corner_pairs(occ: np.ndarray, elements: np.ndarray, nu: int):
+    """Members x, x_i = x + t*M/p_nu of the grid with the indices of their
+    slices across nu; least x first, then least t."""
+    p = occ.shape[nu]
+    for x, c in sorted(zip(elements[occ].tolist(), np.argwhere(occ).tolist())):
+        for t in range(1, p):
+            ci = tuple(c[:nu] + [(c[nu] + t) % p] + c[nu + 1 :])
+            if occ[ci]:
+                yield x, int(elements[ci]), c[nu], ci[nu]
 
 
 def detect_corner(a: Multiset, anchor: int, nu: int) -> StructureFinding:
     """Strict corner in direction nu: two parallel 2d slices holding exactly
     one fiber each, in the two different transverse directions."""
-    mod = a.modulus
     others = [k for k in range(3) if k != nu]
-    members = [x for x in mod.grid(anchor, mod.d_of_m) if x in a]
-    step = mod.m // mod.primes[nu][0]
-    for x in sorted(members):
-        for t in range(1, mod.primes[nu][0]):
-            xi = (x + t * step) % mod.m
-            if xi not in a:
-                continue
-            plane_x = _subgrid_2d(mod, x, nu)
-            plane_xi = _subgrid_2d(mod, xi, nu)
-            in_x = tuple(sorted(y for y in plane_x if y in a))
-            in_xi = tuple(sorted(y for y in plane_xi if y in a))
-            for d1, d2 in (others, others[::-1]):
-                f1 = tuple(sorted(mod.fiber(x, d1)))
-                f2 = tuple(sorted(mod.fiber(xi, d2)))
-                if in_x == f1 and in_xi == f2:
-                    return StructureFinding(
-                        "corner",
-                        nu,
-                        {"a": x, "a_i": xi, "dir_a": d1, "dir_ai": d2},
-                    )
+    occ, elements = _grid(a, anchor)
+    _, _, single = _transverse_planes(occ, a.modulus, nu)
+    for x, xi, s, si in _corner_pairs(occ, elements, nu):
+        for d1, d2 in (others, others[::-1]):
+            if single[d1][s] and single[d2][si]:
+                return StructureFinding(
+                    "corner", nu, {"a": x, "a_i": xi, "dir_a": d1, "dir_ai": d2}
+                )
     return StructureFinding("none")
 
 
 def detect_extended_corner(a: Multiset, anchor: int, nu: int) -> StructureFinding:
     """Extended corner in direction nu: two parallel 2d slices fibered in the
     two transverse directions exclusively (one each)."""
-    mod = a.modulus
     others = [k for k in range(3) if k != nu]
-    members = [x for x in mod.grid(anchor, mod.d_of_m) if x in a]
-    step = mod.m // mod.primes[nu][0]
-    for x in sorted(members):
-        for t in range(1, mod.primes[nu][0]):
-            xi = (x + t * step) % mod.m
-            if xi not in a:
-                continue
-            plane_x = _subgrid_2d(mod, x, nu)
-            plane_xi = _subgrid_2d(mod, xi, nu)
-            for d1, d2 in (others, others[::-1]):
-                if (
-                    _fibered_within(a, plane_x, d1)
-                    and not _fibered_within(a, plane_x, d2)
-                    and _fibered_within(a, plane_xi, d2)
-                    and not _fibered_within(a, plane_xi, d1)
-                ):
-                    return StructureFinding(
-                        "extended-corner",
-                        nu,
-                        {"a": x, "a_i": xi, "dir_a": d1, "dir_ai": d2},
-                    )
+    occ, elements = _grid(a, anchor)
+    _, union, _ = _transverse_planes(occ, a.modulus, nu)
+    for x, xi, s, si in _corner_pairs(occ, elements, nu):
+        for d1, d2 in (others, others[::-1]):
+            if union[d1][s] and not union[d2][s] and union[d2][si] and not union[d1][si]:
+                return StructureFinding(
+                    "extended-corner", nu, {"a": x, "a_i": xi, "dir_a": d1, "dir_ai": d2}
+                )
     return StructureFinding("none")
 
 
@@ -368,22 +351,22 @@ def remove_fibers(a: Multiset, anchor: int) -> tuple[Multiset, tuple[tuple[int, 
     the procedure itself is order-sensitive.
     """
     mod = a.modulus
-    current = {x for x in mod.grid(anchor, mod.d_of_m) if x in a}
+    occ, elements = _grid(a, anchor)
     removed: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(current):
-            for nu in range(mod.num_primes):
-                fib = mod.fiber(x, nu)
-                if all(y in current for y in fib):
-                    current -= set(fib)
-                    removed.append((min(fib), nu))
-                    changed = True
-                    break
-            if changed:
-                break
-    return Multiset.from_set(mod, sorted(current)), tuple(removed)
+    while True:
+        full = [
+            np.broadcast_to(occ.all(axis=nu, keepdims=True), occ.shape)
+            for nu in range(mod.num_primes)
+        ]
+        on_full = np.logical_or.reduce(full)
+        if not on_full.any():
+            break
+        cell = np.unravel_index(np.where(on_full, elements, mod.m).argmin(), occ.shape)
+        nu = next(nu for nu in range(mod.num_primes) if full[nu][cell])
+        line = cell[:nu] + (slice(None),) + cell[nu + 1 :]
+        occ[line] = False
+        removed.append((int(elements[line].min()), nu))
+    return Multiset.from_set(mod, elements[occ].tolist()), tuple(removed)
 
 
 # -- classification of a single unfibered grid -----------------------------------------
@@ -392,9 +375,9 @@ def remove_fibers(a: Multiset, anchor: int) -> tuple[Multiset, tuple[tuple[int, 
 def _top_divisor_profile(a: Multiset, anchor: int) -> tuple[frozenset[int], frozenset[int]]:
     """(present, missing) top divisors {m : D(M) | m | M} of Div(A & grid)."""
     mod = a.modulus
-    members = [x for x in mod.grid(anchor, mod.d_of_m) if x in a]
+    occ, elements = _grid(a, anchor)
     top = frozenset(m for m in mod.divisors if m % mod.d_of_m == 0)
-    present = div_set(Multiset.from_set(mod, members)).members & top
+    present = div_set(Multiset.from_set(mod, elements[occ].tolist())).members & top
     return present, top - present
 
 
@@ -417,51 +400,32 @@ def _detect_full_plane(a: Multiset, anchor: int, nu: int) -> StructureFinding:
     entries, at their full counts."""
     mod = a.modulus
     others = [k for k in range(3) if k != nu]
-    members = frozenset(x for x in mod.grid(anchor, mod.d_of_m) if x in a)
+    occ, elements = _grid(a, anchor)
+    members = elements[occ]
     g = mod.gcd_table()
     p_nu = mod.primes[nu][0]
     pj, pk = (mod.primes[k][0] for k in others)
     want_nu = mod.m // p_nu
     want_jk = mod.m // (pj * pk)
-    for x in mod.grid(anchor, mod.d_of_m):
-        if x in members:
-            continue
-        counts: dict[int, int] = {}
-        for y in members:
-            counts[int(g[(x - y) % mod.m])] = counts.get(int(g[(x - y) % mod.m]), 0) + 1
-        if (
-            counts.get(want_nu, 0) == p_nu - 1
-            and counts.get(want_jk, 0) == (pj - 1) * (pk - 1)
-            and sum(counts.values()) == (p_nu - 1) + (pj - 1) * (pk - 1)
-        ):
-            return StructureFinding("full-plane", nu, {"anchor": anchor, "x": x})
+    if len(members) == (p_nu - 1) + (pj - 1) * (pk - 1):
+        for x in np.sort(elements[~occ]).tolist():
+            ds = g[(x - members) % mod.m]
+            if (
+                np.count_nonzero(ds == want_nu) == p_nu - 1
+                and np.count_nonzero(ds == want_jk) == (pj - 1) * (pk - 1)
+            ):
+                return StructureFinding("full-plane", nu, {"anchor": anchor, "x": x})
     return StructureFinding("none")
 
 
 def _corner_planes_ok(a: Multiset, anchor: int, nu: int) -> bool:
     """Every transverse plane of the grid is empty or a single fiber in one of
     the two other directions, with both directions represented."""
-    mod = a.modulus
-    others = [k for k in range(3) if k != nu]
-    seen_dirs: set[int] = set()
-    x0 = anchor
-    step = mod.m // mod.primes[nu][0]
-    for t in range(mod.primes[nu][0]):
-        cells = _subgrid_2d(mod, (x0 + t * step) % mod.m, nu)
-        inside = [y for y in cells if y in a]
-        if not inside:
-            continue
-        matched = False
-        for d in others:
-            if len(inside) == mod.primes[d][0] and tuple(sorted(inside)) == tuple(
-                sorted(mod.fiber(inside[0], d))
-            ):
-                seen_dirs.add(d)
-                matched = True
-                break
-        if not matched:
-            return False
-    return seen_dirs == set(others)
+    nonempty, _, single = _transverse_planes(_grid(a, anchor)[0], a.modulus, nu)
+    return bool(
+        np.all(~nonempty | np.logical_or.reduce(list(single.values())))
+        and all(flags.any() for flags in single.values())
+    )
 
 
 def classify_unfibered_grid(a: Multiset, anchor: int) -> StructureFinding:
@@ -532,7 +496,7 @@ def classify_unfibered_grid(a: Multiset, anchor: int) -> StructureFinding:
             if finding.found and _boxes_exactly_cover(a, anchor, finding):
                 w = finding.witness
                 sizes = (len(w["i"]), len(w["j"]), len(w["k"]))
-                comp = tuple(p - s for p, s in zip(GridView(mod, anchor).sizes, sizes))
+                comp = tuple(p - s for p, s in zip(mod.prime_list, sizes))
                 transverse = [k for k in range(3) if k != nu]
                 # Almost corner: both transverse directions pinched to a
                 # singleton on one side, the corner direction proper on both.
@@ -627,62 +591,33 @@ def missing_top_difference_fibering(a: Multiset, n_div: int, nu: int) -> Fiberin
         raise Inapplicable(f"Phi_{n_div} does not divide A")
     others = [k for k in range(3) if k != nu]
     n_over_p = n_div // sub.primes[nu][0]
-
-    def grid_members(anchor: int) -> list[int]:
-        return [x for x in sub.grid(anchor, sub.d_of_m) if reduced.weights[x] != 0]
+    grids = grid_tensor(reduced)
+    occ = grids != 0
+    # A difference N/p_nu inside a grid joins two cells of one line along nu.
+    local_top = (occ.sum(axis=nu + 1) > 1).reshape(len(occ), -1).any(axis=1)
+    nonempty = occ.reshape(len(occ), -1).any(axis=1)
+    # Same-weight N-fibers in direction k: the weights are constant along k.
+    fibered = {k: _fibered(grids, k + 1) for k in range(3)}
 
     per_grid: list[tuple[int, int]] = []
     holds = True
-    missing_global = n_over_p not in div_set(reduced).members
-    for anchor in range(sub.d_of_m):
-        members = grid_members(anchor)
-        if not members:
-            continue
-        local_div = div_set(Multiset.from_pairs(sub, [(x, 1) for x in members])).members
-        if n_over_p in local_div:
-            continue  # hypothesis not met on this grid
-        direction = None
-        for k in others:
-            if _n_fibered_on_grid(reduced, sub, anchor, k):
-                direction = k
-                break
+    for anchor in np.flatnonzero(nonempty & ~local_top).tolist():
+        direction = next((k for k in others if fibered[k][anchor]), None)
         if direction is None:
             holds = False
         else:
             per_grid.append((anchor, direction))
     single = None
+    div_reduced = div_set(reduced).members
     other_missing = [
         k
         for k in others
-        if sub.primes[k][0] != 2 and n_div // sub.primes[k][0] not in div_set(reduced).members
+        if sub.primes[k][0] != 2 and n_div // sub.primes[k][0] not in div_reduced
     ]
-    if missing_global and other_missing:
+    if n_over_p not in div_reduced and other_missing:
         third = next(k for k in range(3) if k != nu and k not in other_missing)
-        if _n_fibered_everywhere(reduced, sub, third):
+        if fibered[third].all():
             single = third
         else:
             holds = False
     return FiberingReport(n_div, nu, True, tuple(per_grid), single, holds)
-
-
-def _n_fibered_on_grid(reduced: Multiset, sub: Modulus, anchor: int, nu: int) -> bool:
-    p = sub.primes[nu][0]
-    step = sub.m // p
-    members = [x for x in sub.grid(anchor, sub.d_of_m) if reduced.weights[x] != 0]
-    if not members:
-        return True
-    groups: dict[int, list[int]] = {}
-    for x in members:
-        groups.setdefault(x % step, []).append(x)
-    for xs in groups.values():
-        if len(xs) != p:
-            return False
-        if len({int(reduced.weights[x]) for x in xs}) != 1:
-            return False
-    return True
-
-
-def _n_fibered_everywhere(reduced: Multiset, sub: Modulus, nu: int) -> bool:
-    return all(
-        _n_fibered_on_grid(reduced, sub, anchor, nu) for anchor in range(sub.d_of_m)
-    )

@@ -286,15 +286,6 @@ class Modulus:
         """M-fiber through x in the p_nu direction: Lambda(x, m/p_nu), p_nu points."""
         return self.grid(x, self.n_nu(nu))
 
-    def fiber_of_scale(self, x: int, n_div: int, nu: int) -> tuple[int, ...]:
-        """N-fiber through x in the p_nu direction, inside Z_N (N | m)."""
-        p = self.primes[nu][0]
-        if n_div % p != 0 or self.m % n_div != 0:
-            raise ValueError(f"no {n_div}-fiber in direction {nu}")
-        step = n_div // p
-        x %= step
-        return tuple(range(x, n_div, step))
-
     def __repr__(self) -> str:
         fac = "*".join(f"{p}^{n}" if n > 1 else f"{p}" for p, n in self.primes)
         return f"Modulus({self.m}={fac})"

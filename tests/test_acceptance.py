@@ -187,16 +187,6 @@ def _admissible_pair_mask(mod: Modulus) -> np.ndarray:
     return out
 
 
-def _box_table(mod: Modulus, elems: tuple[int, ...]) -> np.ndarray:
-    m = mod.m
-    cls = mod.gcd_class_table()
-    t = np.zeros((m, len(mod.divisors)), dtype=np.int64)
-    rows = np.arange(m)
-    for e in elems:
-        t[rows, cls[(rows - e) % m]] += 1
-    return t
-
-
 def _plane_bound_arrays(mod: Modulus, elems: np.ndarray, size: int) -> bool:
     for nu, (p, n) in enumerate(mod.primes):
         beta = 0
@@ -242,8 +232,8 @@ def _process_split(mod: Modulus, instances, stats: SweepStats, label: str) -> No
         b_sets.append(b)
         b_of_a.append(a_index[a])
         # criterion 4: the box product identity, all m^2 anchor pairs, exact
-        ta = _box_table(mod, a)
-        tb = _box_table(mod, b)
+        ta = inst.box_table("a")
+        tb = inst.box_table("b")
         grid = (ta * wvec[None, :]) @ tb.T
         if not np.all(grid == big):
             stats.box_failures += 1

@@ -51,6 +51,13 @@ class TestVerify:
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("text", ["m\n", '{"m":4,"a":[[1]],"b":[0]}'])
+    def test_malformed_instance_exit_two(self, tmp_path, capsys, text):
+        f = tmp_path / "malformed.txt"
+        f.write_text(text)
+        assert main(["verify", str(f)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
 
 class TestSpectrumAndConditions:
     def test_spectrum_marks_prime_powers(self, flat225_file, capsys):
@@ -123,9 +130,9 @@ class TestClassifyCommand:
         assert code == 1  # generic is not a resolved branch
 
     def test_deterministic_output(self, flat225_file, capsys):
-        main(["classify", flat225_file, "--seed", "5"])
+        main(["classify", flat225_file])
         one = capsys.readouterr().out
-        main(["classify", flat225_file, "--seed", "5"])
+        main(["classify", flat225_file])
         two = capsys.readouterr().out
         assert one == two
 

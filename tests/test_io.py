@@ -43,6 +43,10 @@ class TestJson:
         assert once == twice
         assert once.endswith("\n")
 
+    def test_nested_element_rejected(self):
+        with pytest.raises(ValueError):
+            parse_instance('{"m":4,"a":[[1]],"b":[0]}')
+
     def test_key_order_stable(self):
         a = write_instance(parse_instance('{"a": [0], "m": 4, "b": [1]}'))
         b = write_instance(parse_instance('{"b": [1], "m": 4, "a": [0]}'))
@@ -65,6 +69,10 @@ class TestLineFormat:
     def test_missing_m(self):
         with pytest.raises(ValueError):
             parse_instance("a 0 1\n")
+
+    def test_m_without_value(self):
+        with pytest.raises(ValueError):
+            parse_instance("m\n")
 
     def test_line_then_canonical_json(self):
         once = write_instance(parse_instance("m 4\na 0 2\nb 0 1\n"))

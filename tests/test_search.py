@@ -88,6 +88,15 @@ class TestEnumeration:
             assert _canonical_translate(a, 36) == a
             assert 0 in t.b
 
+    def test_least_translate_matches_brute_force(self):
+        for m in range(1, 15):
+            for size in range(m + 1):
+                for a in combinations(range(m), size):
+                    brute = min(
+                        (tuple(sorted((x - t) % m for x in a)) for t in a), default=()
+                    )
+                    assert _canonical_translate(a, m) == brute, (m, a)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             list(enumerate_tilings(EnumerationTask(Modulus.of(450), 15)))

@@ -3,6 +3,7 @@ bound, and missing-top-difference fibering."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cyclotile import (
@@ -55,6 +56,96 @@ class TestGridFibering:
         for nu in range(3):
             flag, _ = is_m_fibered_on_grid(a, 0, nu)
             assert not flag
+
+
+def _oracle_members(a, anchor):
+    mod = a.modulus
+    return {x for x in range(anchor % mod.d_of_m, mod.m, mod.d_of_m) if a.weight(x)}
+
+
+def _oracle_fiber(mod, x, nu):
+    p = mod.primes[nu][0]
+    return frozenset((x + t * (mod.m // p)) % mod.m for t in range(p))
+
+
+def _oracle_fibered(a, anchor, nu):
+    """Set oracle: the grid's members, fiber by fiber, in direction nu."""
+    members = _oracle_members(a, anchor)
+    fibers = {_oracle_fiber(a.modulus, x, nu) for x in members}
+    if all(f <= members for f in fibers):
+        return True, tuple(sorted(min(f) for f in fibers))
+    return False, ()
+
+
+def _oracle_strip(a, anchor):
+    """Set oracle for remove_fibers: strip the fiber through the least member
+    that lies on a full one, least direction first."""
+    mod = a.modulus
+    members = _oracle_members(a, anchor)
+    removed = []
+    while True:
+        hit = next(
+            (
+                (x, nu)
+                for x in sorted(members)
+                for nu in range(3)
+                if _oracle_fiber(mod, x, nu) <= members
+            ),
+            None,
+        )
+        if hit is None:
+            return members, tuple(removed)
+        fiber = _oracle_fiber(mod, *hit)
+        members -= fiber
+        removed.append((min(fiber), hit[1]))
+
+
+def _random_grid_subsets(mod, count, seed):
+    """Seeded subsets of the grid through 0: unions of random fibers, some
+    with single points toggled, and plain random subsets."""
+    rng = np.random.default_rng(seed)
+    grid = list(range(0, mod.m, mod.d_of_m))
+    for n in range(count):
+        pts = set()
+        if n % 3:
+            for _ in range(int(rng.integers(1, 8))):
+                pts |= _oracle_fiber(mod, grid[int(rng.integers(len(grid)))], int(rng.integers(3)))
+            if n % 3 == 2:
+                pts ^= {grid[int(rng.integers(len(grid)))]}
+        else:
+            pts = {x for x in grid if rng.random() < 0.5}
+        yield Multiset.from_set(mod, sorted(pts))
+
+
+class TestAgainstSetOracle:
+    """Every tensor read of a grid agrees with a fiber-by-fiber set oracle."""
+
+    def _check(self, a, anchors):
+        for anchor in anchors:
+            verdicts = [_oracle_fibered(a, anchor, nu) for nu in range(3)]
+            for nu in range(3):
+                assert is_m_fibered_on_grid(a, anchor, nu) == verdicts[nu]
+            rep = grid_fiber_report(a, anchor)
+            assert rep.empty == (not _oracle_members(a, anchor))
+            if not rep.empty:
+                assert rep.fibered == tuple(v for v, _ in verdicts)
+                assert rep.roots == tuple(r for _, r in verdicts)
+            residual, removed = remove_fibers(a, anchor)
+            left, stripped = _oracle_strip(a, anchor)
+            assert set(residual.support()) == left and removed == stripped
+
+    def test_flat(self, flat11025):
+        self._check(flat11025.a, range(105))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shifted(self, flat11025, k):
+        from tests_helpers import shifted_instance
+
+        self._check(shifted_instance(flat11025, k, seed=1).a, range(105))
+
+    def test_random_subsets_of_one_grid(self, m11025):
+        for a in _random_grid_subsets(m11025, 120, seed=3):
+            self._check(a, [0])
 
 
 class TestIJK:
