@@ -4,9 +4,11 @@ A cuboid of type (N, delta, T) is the alternating vertex configuration
 X^c * prod_nu (1 - X^{d_nu}) with offsets constrained by (d_nu, N) =
 N / p_nu^{delta_nu}; evaluating a multiset on it sums template-smeared
 weighted counts with alternating signs.  Nullity over all cuboids of the
-standard type is equivalent to divisibility by Phi_N, which gives the
-second, independent route to cyclotomic divisibility used throughout the
-test-suite (the first being exact polynomial division).
+standard type is equivalent to divisibility by Phi_N.  This is the
+library's second route to cyclotomic divisibility: cyclo.phi_divides
+evaluates only the unit-offset cuboids (d_nu = N/p_nu) on A folded mod N,
+while this route sweeps every admissible offset.  The test-suite checks
+both against an exact polynomial-division route of its own.
 """
 
 from __future__ import annotations

@@ -1,14 +1,24 @@
 """Cyclotomic polynomials and cyclotomic divisibility of mask polynomials.
 
 Everything here is exact integer arithmetic.  Divisibility of a mask
-polynomial A(X) by Phi_s is decided through the cofactor identity
+polynomial A(X) by Phi_s, s | m, is decided by the difference operator
 
-    Phi_s | A  <=>  A * C_s == 0  (mod X^s - 1),   C_s = (X^s - 1) / Phi_s,
+    Phi_s | A  <=>  fold_s(A) * prod_{p | s} (1 - X^{s/p}) == 0  (mod X^s - 1),
 
-which avoids coefficient growth: it only ever multiplies and folds.
-C_s is assembled from the cyclotomic factorization of X^s - 1 and the
-result is verified against X^s - 1 once, so an int64 overflow (which would
-require gigantic coefficients to begin with) cannot pass silently.
+where fold_s(A) = A mod X^s - 1 sums the weights over residues mod s.  Why:
+X^s - 1 is the product of the distinct Phi_d, d | s.  Every Phi_d with
+d | s, d != s, divides some X^{s/p} - 1 (take a prime p with d | s/p),
+while Phi_s divides none of them and, being irreducible, is coprime to
+their product.  So the product kills every Phi_d-part of fold_s(A) with
+d != s and is invertible on the Phi_s-part: what is left vanishes iff
+Phi_s | A.  (This is the unit-offset cuboid of Coven-Meyerowitz and the
+vanishing-sums framework of Lam-Leung.)  Each factor is one rotation and
+one subtraction of a length-s vector, at most three here.
+
+Exactness: after k differences every coefficient is bounded by
+2^k * max|fold_s(A)| <= 2^k * (m/s) * max|A|.  When that bound reaches 2^62
+the fold and the differences run on Python ints (object dtype) instead of
+int64, so an overflow cannot pass silently.
 """
 
 from __future__ import annotations
@@ -20,37 +30,7 @@ from math import prod
 import numpy as np
 
 from .multiset import Multiset
-from .zm import Modulus, euler_phi, factorize
-
-
-# -- exact polynomial helpers (dense coefficient lists, constant term first) --
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    if lead != 1:
-        raise ValueError("divisor must be monic")
-    q = [0] * max(1, len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            q[i - d] = c
-            for j in range(d + 1):
-                num[i - d + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+from .zm import Modulus, factorize
 
 
 @dataclass(frozen=True)
@@ -74,61 +54,47 @@ class CycloPoly:
 
 @lru_cache(maxsize=None)
 def cyclotomic(s: int) -> CycloPoly:
-    """Compute Phi_s by exact division of X^r - 1, inflated from the radical.
+    """Phi_s from the Moebius product over the radical, stretched by s/rad(s).
 
-    Phi_s(X) = Phi_rad(s)(X^{s/rad(s)}), so only squarefree orders need the
-    recursive division chain.
+    For squarefree r, Phi_r = prod_{d | r} (X^d - 1)^{mu(r/d)}, and
+    Phi_s(X) = Phi_rad(s)(X^{s/rad(s)}).  The factors with mu = +1 are
+    multiplied in by shift-subtract; those with mu = -1 are divided out by
+    the stride recurrence q[i] = q[i-d] - num[i].  Every such division is
+    exact: the running numerator is Phi_r times the factors not yet divided.
     """
     if s < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {s}")
     if s == 1:
         return CycloPoly(1, (-1, 1))
-    fac = factorize(s)
-    rad = prod(p for p, _ in fac)
-    if rad != s:
-        base = cyclotomic(rad).coeffs
-        stretch = s // rad
-        coeffs = [0] * ((len(base) - 1) * stretch + 1)
-        for i, c in enumerate(base):
-            coeffs[i * stretch] = c
-        return CycloPoly(s, tuple(coeffs))
-    # Squarefree s: divide X^s - 1 by the product of all proper Phi_d.
-    den = [1]
-    for d in sorted(_divisors(s)):
-        if d < s:
-            den = _poly_mul(den, list(cyclotomic(d).coeffs))
-    num = [-1] + [0] * (s - 1) + [1]
-    q, r = _poly_divmod(num, den)
-    if any(r_i != 0 for r_i in r):
-        raise AssertionError(f"cyclotomic division for s={s} left a remainder")
-    if len(q) - 1 != euler_phi(s):
-        raise AssertionError(f"Phi_{s} has wrong degree {len(q) - 1}")
-    return CycloPoly(s, tuple(q))
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    primes = [p for p, _ in factorize(s)]
+    rad = prod(primes)
+    times: list[int] = []
+    over: list[int] = []
+    for d in Modulus.of(rad).divisors:
+        # mu(rad/d) = (-1)^(number of primes of rad that d misses)
+        (over if sum(d % p != 0 for p in primes) % 2 else times).append(d)
+    num = [1]
+    for d in times:  # num *= X^d - 1
+        num = [0] * d + num
+        for i in range(len(num) - d):
+            num[i] -= num[i + d]
+    for d in over:  # num /= X^d - 1; exact iff the recurrence runs out to zero
+        q = [0] * len(num)
+        for i, c in enumerate(num):
+            q[i] = (q[i - d] if i >= d else 0) - c
+        if any(q[-d:]):
+            raise AssertionError(f"cyclotomic division for s={s} left a remainder")
+        num = q[:-d]
+    stretch = s // rad
+    coeffs = [0] * ((len(num) - 1) * stretch + 1)
+    coeffs[::stretch] = num
+    return CycloPoly(s, tuple(coeffs))
 
 
 @lru_cache(maxsize=None)
-def _cofactor(s: int) -> np.ndarray:
-    """C_s = (X^s - 1) / Phi_s as an int64 coefficient array, verified exactly."""
-    phi = np.array(cyclotomic(s).coeffs, dtype=np.int64)
-    c = np.array([1], dtype=np.int64)
-    for d in _divisors(s):
-        if d < s:
-            c = np.convolve(c, np.array(cyclotomic(d).coeffs, dtype=np.int64))
-    # Exactness guard: heights here are small, but verify the defining identity.
-    check = np.convolve(c, phi)
-    expect = np.zeros(s + 1, dtype=np.int64)
-    expect[0], expect[s] = -1, 1
-    if not np.array_equal(check, expect):
-        raise AssertionError(f"cofactor construction for s={s} failed verification")
-    c.setflags(write=False)
-    return c
+def _rotations(s: int) -> tuple[int, ...]:
+    """s/p for each prime p | s: the offsets of the difference operator."""
+    return tuple(s // p for p, _ in factorize(s))
 
 
 def phi_divides(s: int, a: Multiset) -> bool:
@@ -136,23 +102,15 @@ def phi_divides(s: int, a: Multiset) -> bool:
     m = a.modulus.m
     if s <= 1 or m % s != 0:
         raise ValueError(f"s={s} must be a divisor > 1 of m={m}")
-    folded = a.weights.reshape(m // s, s).sum(axis=0) if s < m else a.weights
-    if not folded.any():
-        return True
-    c = _cofactor(s)
-    # Guard the int64 convolution: |sum| <= len * max|folded| * max|C_s|.
-    bound = folded.shape[0] * int(np.abs(folded).max()) * int(np.abs(c).max())
-    prod_coeffs = (
-        np.convolve(folded, c)
-        if bound < 2**62
-        else np.convolve(folded.astype(object), c.astype(object))
-    )
-    # Fold the product back mod X^s - 1 and test for zero.
-    out = np.zeros(s, dtype=prod_coeffs.dtype)
-    for i in range(0, len(prod_coeffs), s):
-        chunk = prod_coeffs[i : i + s]
-        out[: len(chunk)] += chunk
-    return not np.any(out)
+    w = a.weights
+    rotations = _rotations(s)
+    # the module docstring's exactness bound; past it, Python ints
+    if (m // s) * int(np.abs(w).max()) << len(rotations) >= 2**62:
+        w = w.astype(object)
+    f = w.reshape(m // s, s).sum(axis=0)
+    for k in rotations:
+        f = f - np.concatenate((f[-k:], f[:-k]))
+    return not f.any()
 
 
 # -- spectra and the two tiling conditions ------------------------------------
@@ -275,18 +233,17 @@ def standard_complement_of(b: Multiset) -> Multiset:
     if not b.is_set:
         raise ValueError("standard complement is defined against a set")
     mod = b.modulus
-    b_fams = []
-    a_fams = []
-    for p, n in mod.primes:
-        divides = {alpha for alpha in range(1, n + 1) if phi_divides(p**alpha, b)}
-        b_fams.append(divides)
-        a_fams.append(frozenset(range(1, n + 1)) - divides)
-    expected = prod(p ** len(f) for (p, _), f in zip(mod.primes, b_fams))
+    pps = s_a(b)
+    expected = prod(cyclotomic(s).at_one() for s in pps)
     if len(b) != expected:
         raise ValueError(
             f"input of size {len(b)} cannot be a tile: prime-power divisors "
             f"account for {expected}"
         )
+    a_fams = [
+        frozenset(alpha for alpha in range(1, n + 1) if p**alpha not in pps)
+        for p, n in mod.primes
+    ]
     return standard_complement(mod, tuple(a_fams))
 
 

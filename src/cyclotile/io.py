@@ -81,25 +81,31 @@ def parse_instance(text: str) -> InstanceFile:
     return _parse_lines(text)
 
 
+def _pairs(values: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
+    try:
+        return tuple((int(x), int(y)) for x, y in values)
+    except TypeError as exc:
+        raise ValueError(f"{name}: expected an array of integer pairs") from exc
+
+
 def _parse_json(text: str) -> InstanceFile:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "m" not in obj:
         raise ValueError("instance file must be an object with key 'm'")
-    m = int(obj["m"])
-    primes = None
-    if "primes" in obj and obj["primes"] is not None:
-        primes = tuple((int(p), int(n)) for p, n in obj["primes"])
+    try:
+        m = int(obj["m"])
+    except TypeError as exc:
+        raise ValueError("m: expected an integer") from exc
+    if m < 1:
+        raise ValueError("m: expected a positive integer")
+    primes = _pairs(obj["primes"], "primes") if obj.get("primes") is not None else None
     a = _check_sorted(obj["a"], m, "a") if obj.get("a") is not None else None
     b = _check_sorted(obj["b"], m, "b") if obj.get("b") is not None else None
-    wa = (
-        tuple((int(x) % m, int(c)) for x, c in obj["weights_a"])
-        if obj.get("weights_a") is not None
+    wa, wb = (
+        tuple((x % m, c) for x, c in _pairs(obj[key], key))
+        if obj.get(key) is not None
         else None
-    )
-    wb = (
-        tuple((int(x) % m, int(c)) for x, c in obj["weights_b"])
-        if obj.get("weights_b") is not None
-        else None
+        for key in ("weights_a", "weights_b")
     )
     return InstanceFile(m, primes, a, b, wa, wb)
 

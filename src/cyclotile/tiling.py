@@ -174,14 +174,12 @@ def verify_poly(t: TilingInstance) -> bool:
 
 
 def verify_sands(t: TilingInstance) -> bool:
-    """Divisor exclusion: Div(A) and Div(B) meet only in {m}."""
+    """|A||B| = m and divisor exclusion: Div(A) and Div(B) meet only in {m}."""
     if not (t.a.is_set and t.b.is_set):
         raise ValueError("divisor exclusion requires 0/1 weights")
     m = t.modulus.m
     if len(t.a) * len(t.b) != m:
-        raise ValueError(
-            f"cardinality mismatch: |A||B| = {len(t.a) * len(t.b)} != m = {m}"
-        )
+        return False
     return t.div_a() & t.div_b() == {m}
 
 

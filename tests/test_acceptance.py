@@ -573,22 +573,28 @@ def test_criterion_9_divisor_exclusion_and_plane_bound(sweep: SweepStats, flat11
 
 
 def test_criterion_5_dual_path():
+    # The division route is the test's own: remainders mod Phi_s through
+    # BatchChecker's reduction matrices.  The library decides Phi_s | A by
+    # the difference operator (phi_divides) and by cuboid nullity.
     t0 = time.time()
     disagreements = 0
     for m in (36, 225):
         mod = Modulus.of(m)
         rng = np.random.Generator(np.random.PCG64(m))
-        for _ in range(1000):
-            a = Multiset(mod, rng.integers(0, 3, size=m))
-            for s in mod.divisors:
-                if s > 1 and phi_divides(s, a) != phi_divides_via_cuboids(s, a):
+        rows = np.array([rng.integers(0, 3, size=m) for _ in range(1000)])
+        division = BatchChecker(mod).divisibility(rows)
+        for i, row in enumerate(rows):
+            a = Multiset(mod, row)
+            for s, divides in division.items():
+                if not divides[i] == phi_divides_via_cuboids(s, a) == phi_divides(s, a):
                     disagreements += 1
     ok = disagreements == 0
     report(
         5,
         ok,
-        f"division vs cuboid nullity on 1000 seeded multisets in Z_36 and Z_225, "
-        f"all divisors; {disagreements} disagreements, {time.time() - t0:.0f}s",
+        f"division vs cuboid nullity vs difference operator on 1000 seeded "
+        f"multisets in Z_36 and Z_225, all divisors; {disagreements} "
+        f"disagreements, {time.time() - t0:.0f}s",
     )
     assert ok
 

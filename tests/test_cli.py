@@ -51,7 +51,17 @@ class TestVerify:
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/x.json"]) == 2
 
-    @pytest.mark.parametrize("text", ["m\n", '{"m":4,"a":[[1]],"b":[0]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m\n",
+            '{"m":4,"a":[[1]],"b":[0]}',
+            '{"m": [4], "a": [0], "b": [0,1,2,3]}',
+            '{"m": 4, "weights_a": [5], "b": [0,1,2,3]}',
+            '{"m": 4, "primes": [2], "a": [0], "b": [0,1,2,3]}',
+            '{"m": 0, "weights_a": [[0,1]], "b": [0]}',
+        ],
+    )
     def test_malformed_instance_exit_two(self, tmp_path, capsys, text):
         f = tmp_path / "malformed.txt"
         f.write_text(text)

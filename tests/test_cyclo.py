@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclotile import (
     Modulus,
@@ -53,6 +53,13 @@ class TestCyclotomic:
         for s in (2, 6, 12, 45, 105, 225, 441):
             assert cyclotomic(s).degree == euler_phi(s)
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for s in [*range(2, 400), *Modulus.of(11025).divisors[1:]]:
+            expect = sympy.Poly(sympy.cyclotomic_poly(s, x), x).all_coeffs()[::-1]
+            assert cyclotomic(s).coeffs == tuple(int(c) for c in expect), s
+
     def test_product_identity(self):
         # X^n - 1 = product of Phi_d over d | n
         for n in (12, 45):
@@ -76,13 +83,22 @@ class TestPhiDivides:
         with pytest.raises(ValueError):
             phi_divides(1, Multiset.from_set(m12, [0]))
 
+    @pytest.mark.parametrize("m", [36, 315])
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 35), st.integers(-3, 3)), max_size=18))
-    def test_matches_long_division_oracle(self, pairs):
-        mod = Modulus.of(36)
+    @given(st.lists(st.tuples(st.integers(0, 314), st.integers(-3, 3)), max_size=18))
+    # int64 differences of this input wrap to zero at s = 6 in Z_36; only the
+    # object-dtype path decides it correctly
+    @example([(x, 2**62 * g) for x, g in enumerate((1, 1, 1, -1, -1, -1))])
+    def test_matches_long_division_oracle(self, m, pairs):
+        # times the M-fiber in direction nu, every Phi_s with p_nu^n_nu | s divides
+        mod = Modulus.of(m)
         a = Multiset.from_pairs(mod, pairs)
-        for s in (2, 3, 4, 6, 9, 12, 18, 36):
-            assert phi_divides(s, a) == poly_remainder_oracle(a.weights, s)
+        fibers = [Multiset.fiber(mod, nu) for nu in range(mod.num_primes)]
+        for b in (a, *(a.convolve(f) for f in fibers)):
+            for s in mod.divisors[1:]:
+                # X^s = 1 mod Phi_s: fold to length s before dividing
+                folded = [sum(int(w) for w in b.weights[r::s]) for r in range(s)]
+                assert phi_divides(s, b) == poly_remainder_oracle(folded, s)
 
     def test_fiber_cyclotomics(self, m225):
         # Phi_s | F_nu exactly when p_nu^2 | s | m
