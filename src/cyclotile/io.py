@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .multiset import Multiset
 from .tiling import TilingInstance
-from .zm import Modulus
+from .zm import MAX_MODULUS, Modulus
 
 FORMAT_VERSION = 1
 
@@ -61,11 +61,15 @@ class InstanceFile:
         return TilingInstance(self.modulus(), a, b)
 
 
+def _ints(values: list, name: str) -> tuple[int, ...]:
+    """JSON integers exactly: floats, strings, bools and arrays are refused."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{name}: expected an array of integers")
+    return tuple(values)
+
+
 def _check_sorted(values: list[int], m: int, name: str) -> tuple[int, ...]:
-    try:
-        out = tuple(int(v) for v in values)
-    except TypeError as exc:
-        raise ValueError(f"{name}: expected an array of integers") from exc
+    out = _ints(values, name)
     if any(not 0 <= v < m for v in out):
         raise ValueError(f"{name}: elements must lie in [0, {m})")
     if any(x >= y for x, y in zip(out, out[1:])):
@@ -82,29 +86,39 @@ def parse_instance(text: str) -> InstanceFile:
 
 
 def _pairs(values: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
-    try:
-        return tuple((int(x), int(y)) for x, y in values)
-    except TypeError as exc:
-        raise ValueError(f"{name}: expected an array of integer pairs") from exc
+    if not isinstance(values, list) or any(
+        not isinstance(pair, list) or len(pair) != 2 for pair in values
+    ):
+        raise ValueError(f"{name}: expected an array of integer pairs")
+    return tuple(_ints(pair, name) for pair in values)
+
+
+def _weights(values: list[list[int]], m: int, name: str) -> tuple[tuple[int, int], ...]:
+    pairs = tuple((x % m, c) for x, c in _pairs(values, name))
+    totals: dict[int, int] = {}
+    for x, c in pairs:
+        totals[x] = totals.get(x, 0) + c
+    # Multisets hold int64 weights; -2^63 is out too, as it has no int64 negation.
+    if any(abs(c) >= 1 << 63 for c in totals.values()):
+        raise ValueError(f"{name}: weights must lie strictly between -2^63 and 2^63")
+    return pairs
 
 
 def _parse_json(text: str) -> InstanceFile:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "m" not in obj:
         raise ValueError("instance file must be an object with key 'm'")
-    try:
-        m = int(obj["m"])
-    except TypeError as exc:
-        raise ValueError("m: expected an integer") from exc
-    if m < 1:
-        raise ValueError("m: expected a positive integer")
+    m = obj["m"]
+    if type(m) is not int or not 1 <= m <= MAX_MODULUS:
+        raise ValueError(f"m: expected an integer in [1, {MAX_MODULUS}]")
     primes = _pairs(obj["primes"], "primes") if obj.get("primes") is not None else None
+    # Bounded by m before Modulus tests primality and multiplies them out.
+    if primes is not None and any(not (1 < p <= m and 0 < n < m.bit_length()) for p, n in primes):
+        raise ValueError(f"primes {list(primes)} do not multiply to m={m}")
     a = _check_sorted(obj["a"], m, "a") if obj.get("a") is not None else None
     b = _check_sorted(obj["b"], m, "b") if obj.get("b") is not None else None
     wa, wb = (
-        tuple((x % m, c) for x, c in _pairs(obj[key], key))
-        if obj.get(key) is not None
-        else None
+        _weights(obj[key], m, key) if obj.get(key) is not None else None
         for key in ("weights_a", "weights_b")
     )
     return InstanceFile(m, primes, a, b, wa, wb)

@@ -5,34 +5,28 @@ of the library can be validated against them.  Subsets are handled as bit
 masks (Python ints), filling the least uncovered residue first and pruning
 candidates whose differences collide with the divisor set of the fixed side.
 
-Two enumeration engines cover different regimes:
-
-* subset sweep: iterate candidate A of the target size, keep the
-  lexicographically least translate, and search complements for each.
-* pair search: grow A and B simultaneously, branching over which (a, b)
-  covers the least uncovered residue.  Each tiling is reached exactly once
-  because the covering pair of a residue is unique in the final tiling.
+Enumeration is one subset sweep: iterate candidate A of the smaller side's
+size, keep the lexicographically least translate, and search complements
+for each.  When |A| > m/|A| the swept pairs are swapped back (see
+`enumerate_tilings`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .multiset import Multiset
 from .tiling import TilingInstance
 from .zm import Modulus
 
-DEFAULT_MODULUS_CAP = 400
-DEFAULT_SWEEP_LIMIT = 20_000_000
-DEFAULT_STRUCTURED_LIMIT = 8_000_000
-
-
-def _rotl(mask: int, s: int, m: int, full: int) -> int:
-    s %= m
-    return ((mask << s) | (mask >> (m - s))) & full if s else mask
+MODULUS_CAP = 400
+STRUCTURED_LIMIT = 8_000_000
+# find_complements keeps up to 2m + 3m/|A| masks of m bits alive: 160 MB here.
+COMPLEMENT_MODULUS_CAP = 1 << 14
 
 
 def _lsb_index(mask: int) -> int:
@@ -73,6 +67,23 @@ def _equidistribution_quotas(m: int, own: int, other: int) -> list[tuple[int, in
     return out
 
 
+def _rotations(mask: int, m: int) -> list[int]:
+    """The m cyclic left rotations of an m-bit mask, indexed by the shift."""
+    doubled = mask | (mask << m)
+    full = (1 << m) - 1
+    return [(doubled >> (m - s)) & full for s in range(m)]
+
+
+@lru_cache(maxsize=None)
+def _gcd_classes(m: int) -> dict[int, int]:
+    """For each g = gcd(d, m) with 0 < d < m, the mask of those d."""
+    masks: dict[int, int] = {}
+    for d in range(1, m):
+        g = gcd(d, m)
+        masks[g] = masks.get(g, 0) | (1 << d)
+    return masks
+
+
 def find_complements(
     a: Iterable[int] | Multiset,
     modulus: Modulus | int,
@@ -89,78 +100,74 @@ def find_complements(
     (useful as a pure existence test); use_pruning=False drops every
     theorem-derived prune and leaves the bare exact cover (for agreement
     tests that must not share logic with the divisor-based verifier).
+
+    The search is depth-first over an explicit stack with one frame per
+    chosen element of B, so |B| is not bounded by the recursion limit.
     """
     mod = modulus if isinstance(modulus, Modulus) else Modulus.of(modulus)
     m = mod.m
+    if m > COMPLEMENT_MODULUS_CAP:
+        raise ValueError(f"m={m} exceeds the complement-search cap {COMPLEMENT_MODULUS_CAP}")
     elems = tuple(sorted(e % m for e in (a.elements() if isinstance(a, Multiset) else a)))
     if len(set(elems)) != len(elems):
         raise ValueError("A must be a set")
     k = len(elems)
     if k == 0 or m % k != 0:
         return []
-    target = m // k
+    if k == m:
+        return [(0,)]
     full = (1 << m) - 1
-    amask = 0
-    for e in elems:
-        amask |= 1 << e
-    # Forbidden difference set from Div(A): d with gcd(d, m) realized in A - A.
-    forbidden = 0
+    # Bit 0 stands for b = 0: rotated by b, it bans b itself once chosen.
+    forbidden = 1
     if use_pruning:
-        div_a = set()
-        for x in elems:
-            for y in elems:
-                if x != y:
-                    div_a.add(gcd(x - y, m))
-        for d in range(1, m):
-            if gcd(d, m) in div_a:
-                forbidden |= 1 << d
-    shifted: list[int | None] = [None] * m
-    shifted[0] = amask
-    quotas = _equidistribution_quotas(m, target, k) if use_pruning else []
-    counts = [[0] * q for q, _ in quotas]
+        # Divisor exclusion: d is forbidden when gcd(d, m) is realized in A - A.
+        by_gcd = _gcd_classes(m)
+        for g in {gcd(x - y, m) for x in elems for y in elems if x != y}:
+            forbidden |= by_gcd[g]
+    shifted = _rotations(sum(1 << e for e in elems), m)
+    banned_by = _rotations(forbidden, m)
+    # (q, quota, mask of the class of 0 mod q): a class that holds its quota
+    # of B is banned.
+    quotas = [
+        (q, quota, full // ((1 << q) - 1))
+        for q, quota in (_equidistribution_quotas(m, m // k, k) if use_pruning else [])
+    ]
+
+    def banned_after(b: int, chosen: int, banned: int) -> int:
+        banned |= banned_by[b]
+        for q, quota, zero_class in quotas:
+            same_class = zero_class << (b % q)
+            if (chosen & same_class).bit_count() == quota:
+                banned |= same_class
+        return banned
+
+    def candidates(covered: int, banned: int) -> Iterator[int]:
+        """The b for which A + b covers the least uncovered residue."""
+        x = _lsb_index(~covered & full)
+        return iter(
+            [b for b in [(x - e) % m for e in elems] if not (banned >> b) & 1 and not shifted[b] & covered]
+        )
 
     out: list[tuple[int, ...]] = []
-    b_list = [0]
-
-    class _Done(Exception):
-        pass
-
-    def rec(covered: int, forbidden_b: int) -> None:
+    covered, banned = shifted[0], banned_after(0, 1, 0)
+    # Frames: (cover, banned residues, chosen B as a mask, candidates left).
+    stack = [(covered, banned, 1, candidates(covered, banned))]
+    while stack:
+        covered, banned, chosen, todo = stack[-1]
+        b = next(todo, None)
+        if b is None:
+            stack.pop()
+            continue
+        covered |= shifted[b]
+        chosen |= 1 << b
         if covered == full:
-            if len(b_list) == target:
-                out.append(tuple(sorted(b_list)))
-                if limit is not None and len(out) >= limit:
-                    raise _Done
-            return
-        if len(b_list) == target:
-            return
-        x = _lsb_index(~covered & full)
-        for e in elems:
-            b = (x - e) % m
-            if (forbidden_b >> b) & 1:
-                continue
-            sh = shifted[b]
-            if sh is None:
-                sh = shifted[b] = _rotl(amask, b, m, full)
-            if sh & covered:
-                continue
-            if any(counts[i][b % q] >= quota for i, (q, quota) in enumerate(quotas)):
-                continue
-            for i, (q, _) in enumerate(quotas):
-                counts[i][b % q] += 1
-            b_list.append(b)
-            rec(covered | sh, forbidden_b | _rotl(forbidden, b, m, full) | (1 << b))
-            b_list.pop()
-            for i, (q, _) in enumerate(quotas):
-                counts[i][b % q] -= 1
-
-    for i, (q, _) in enumerate(quotas):
-        counts[i][0] += 1
-    try:
-        rec(amask, forbidden | 1)
-    except _Done:
-        pass
-    return sorted(set(out))
+            out.append(tuple(x for x in range(m) if (chosen >> x) & 1))
+            if limit is not None and len(out) >= limit:
+                break
+        else:
+            banned = banned_after(b, chosen, banned)
+            stack.append((covered, banned, chosen, candidates(covered, banned)))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -173,49 +180,55 @@ class EnumerationTask:
 
     modulus: Modulus
     size: int
-    modulus_cap: int = DEFAULT_MODULUS_CAP
-    sweep_limit: int = DEFAULT_SWEEP_LIMIT
-    engine: str = "auto"  # auto | sweep | structured | pair
 
 
-def _structured_count(m: int, k: int) -> int | None:
-    """Candidate count for the class-structured sweep, if quotas apply."""
+def _candidate_stream(m: int, k: int) -> tuple[Iterator[tuple[int, ...]], Callable]:
+    """Candidate A of size k containing 0, and the sort key of their order.
+
+    The structured stream is taken when it is shorter than the plain one
+    and than STRUCTURED_LIMIT.  It yields A grouped by class mod q, so A
+    comes in the order of its elements sorted by (x mod q, x).
+    """
     quotas = _equidistribution_quotas(m, k, m // k)
-    if not quotas:
-        return None
-    q, c = max(quotas)
-    per_class = m // q
-    return comb(per_class - 1, c - 1) * comb(per_class, c) ** (q - 1)
+    if quotas:
+        q, c = max(quotas)
+        per_class = m // q
+        structured = comb(per_class - 1, c - 1) * comb(per_class, c) ** (q - 1)
+        if structured < min(comb(m - 1, k - 1), STRUCTURED_LIMIT):
+            return _structured_candidates(m, k), lambda a: sorted(a, key=lambda x: (x % q, x))
+    return _plain_candidates(m, k), tuple
 
 
 def enumerate_tilings(task: EnumerationTask) -> Iterator[TilingInstance]:
-    """Stream every normalized tiling (A, B) with |A| = task.size."""
+    """Stream every normalized tiling (A, B) with |A| = task.size.
+
+    Tilings come in the order of the candidate stream for |A|, then B
+    ascending.  When |A| > m/|A|, the sweep runs over the smaller side
+    instead: for each swept tiling (A', B') it emits (least translate of
+    B', A' - s) for every s in A'.  That is complete, because complements
+    of a translate are translates of complements: if (A, B) is normalized,
+    the sweep finds A' = B - t, the least translate of B, together with the
+    complement A - a for each a in A, and s = -t gives back (A, B).  So
+    each tiling is reached at least once per a in A; duplicates are dropped.
+    """
     mod = task.modulus
     m, k = mod.m, task.size
-    if m > task.modulus_cap:
-        raise ValueError(f"m={m} exceeds the enumeration cap {task.modulus_cap}")
+    if m > MODULUS_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap {MODULUS_CAP}")
     if k < 1 or m % k != 0:
         return
-    engine = task.engine
-    if engine == "auto":
-        plain = comb(m - 1, k - 1)
-        structured = _structured_count(m, k)
-        if structured is not None and structured < min(plain, DEFAULT_STRUCTURED_LIMIT):
-            engine = "structured"
-        elif plain <= task.sweep_limit:
-            engine = "sweep"
-        else:
-            engine = "pair"
-    if engine == "sweep":
-        yield from _enumerate_by_sweep(mod, k, _plain_candidates(mod.m, k))
-    elif engine == "structured":
-        if _structured_count(m, k) is None:
-            raise ValueError("no equidistribution structure for this split")
-        yield from _enumerate_by_sweep(mod, k, _structured_candidates(mod.m, k))
-    elif engine == "pair":
-        yield from _enumerate_by_pair_search(mod, k)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    candidates, _ = _candidate_stream(m, min(k, m // k))
+    pairs = _sweep(mod, candidates)
+    if k * k > m:
+        _, key = _candidate_stream(m, k)
+        swapped = {
+            (_canonical_translate(b, m), tuple(sorted((x - s) % m for x in a)))
+            for a, b in pairs
+            for s in a
+        }
+        pairs = sorted(swapped, key=lambda ab: (key(ab[0]), ab[1]))
+    for a, b in pairs:
+        yield TilingInstance.from_sets(mod, a, b)
 
 
 def _plain_candidates(m: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -238,157 +251,11 @@ def _structured_candidates(m: int, k: int) -> Iterator[tuple[int, ...]]:
             yield tuple(sorted(head + tuple(x for pick in picks for x in pick)))
 
 
-def _enumerate_by_sweep(
-    mod: Modulus, k: int, candidates: Iterator[tuple[int, ...]]
-) -> Iterator[TilingInstance]:
-    m = mod.m
-    if k == 1:
-        yield TilingInstance.from_sets(mod, [0], range(m))
-        return
+def _sweep(
+    mod: Modulus, candidates: Iterator[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(A, B) for every candidate A that is its own least translate."""
     for a in candidates:
-        if _canonical_translate(a, m) != a:
-            continue
-        for b in find_complements(a, mod):
-            yield TilingInstance.from_sets(mod, a, b)
-
-
-def _enumerate_by_pair_search(mod: Modulus, k: int) -> Iterator[TilingInstance]:
-    """Grow A and B together; emit pairs whose A is translation-canonical."""
-    m = mod.m
-    ka, kb = k, m // k
-    full = (1 << m) - 1
-    gcd_class = [gcd(x, m) for x in range(m)]
-    quotas_a = _equidistribution_quotas(m, ka, kb)
-    quotas_b = _equidistribution_quotas(m, kb, ka)
-    counts_a = [[0] * q for q, _ in quotas_a]
-    counts_b = [[0] * q for q, _ in quotas_b]
-
-    def _quota_ok(counts, quotas, x: int) -> bool:
-        return all(counts[i][x % q] < quota for i, (q, quota) in enumerate(quotas))
-
-    def _quota_bump(counts, quotas, x: int, delta: int) -> None:
-        for i, (q, _) in enumerate(quotas):
-            counts[i][x % q] += delta
-
-    results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def rec(
-        a_elems: list[int],
-        b_elems: list[int],
-        amask: int,
-        bmask: int,
-        covered: int,
-        div_a: frozenset[int],
-        div_b: frozenset[int],
-    ) -> None:
-        if covered == full:
-            results.append((tuple(sorted(a_elems)), tuple(sorted(b_elems))))
-            return
-        x = _lsb_index(~covered & full)
-        can_add_a = len(a_elems) < ka
-        can_add_b = len(b_elems) < kb
-        # Covering pair (a, b) with a + b = x; branch on novelty of each part.
-        if can_add_b:
-            for a in a_elems:
-                b = (x - a) % m
-                if (bmask >> b) & 1:
-                    continue
-                _try_add_b(a_elems, b_elems, amask, bmask, covered, div_a, div_b, b)
-        if can_add_a:
-            for b in b_elems:
-                a = (x - b) % m
-                if (amask >> a) & 1:
-                    continue
-                _try_add_a(a_elems, b_elems, amask, bmask, covered, div_a, div_b, a)
-        if can_add_a and can_add_b:
-            uncovered = ~covered & full
-            for a in _bits(uncovered):
-                b = (x - a) % m
-                if not ((uncovered >> b) & 1):
-                    continue
-                _try_add_pair(a_elems, b_elems, amask, bmask, covered, div_a, div_b, a, b)
-
-    def _new_divs(elems: list[int], new: int) -> frozenset[int] | None:
-        ds = set()
-        for e in elems:
-            ds.add(gcd_class[(new - e) % m])
-        return frozenset(ds)
-
-    def _try_add_a(a_elems, b_elems, amask, bmask, covered, div_a, div_b, a) -> None:
-        if not _quota_ok(counts_a, quotas_a, a):
-            return
-        delta = _rotl(bmask, a, m, full)
-        if delta & covered:
-            return
-        new_ds = _new_divs(a_elems, a)
-        if new_ds & div_b:
-            return
-        a_elems.append(a)
-        _quota_bump(counts_a, quotas_a, a, 1)
-        rec(a_elems, b_elems, amask | (1 << a), bmask, covered | delta, div_a | new_ds, div_b)
-        _quota_bump(counts_a, quotas_a, a, -1)
-        a_elems.pop()
-
-    def _try_add_b(a_elems, b_elems, amask, bmask, covered, div_a, div_b, b) -> None:
-        if not _quota_ok(counts_b, quotas_b, b):
-            return
-        delta = _rotl(amask, b, m, full)
-        if delta & covered:
-            return
-        new_ds = _new_divs(b_elems, b)
-        if new_ds & div_a:
-            return
-        b_elems.append(b)
-        _quota_bump(counts_b, quotas_b, b, 1)
-        rec(a_elems, b_elems, amask, bmask | (1 << b), covered | delta, div_a, div_b | new_ds)
-        _quota_bump(counts_b, quotas_b, b, -1)
-        b_elems.pop()
-
-    def _try_add_pair(a_elems, b_elems, amask, bmask, covered, div_a, div_b, a, b) -> None:
-        if not (_quota_ok(counts_a, quotas_a, a) and _quota_ok(counts_b, quotas_b, b)):
-            return
-        da = _rotl(bmask, a, m, full) | (1 << ((a + b) % m))
-        db = _rotl(amask, b, m, full)
-        if (da & covered) or (db & covered) or (da & db):
-            return
-        ds_a = _new_divs(a_elems, a)
-        ds_b = _new_divs(b_elems, b)
-        if (ds_a & div_b) or (ds_b & div_a) or (ds_a & ds_b):
-            return
-        a_elems.append(a)
-        b_elems.append(b)
-        _quota_bump(counts_a, quotas_a, a, 1)
-        _quota_bump(counts_b, quotas_b, b, 1)
-        rec(
-            a_elems,
-            b_elems,
-            amask | (1 << a),
-            bmask | (1 << b),
-            covered | da | db,
-            div_a | ds_a,
-            div_b | ds_b,
-        )
-        _quota_bump(counts_a, quotas_a, a, -1)
-        _quota_bump(counts_b, quotas_b, b, -1)
-        a_elems.pop()
-        b_elems.pop()
-
-    _quota_bump(counts_a, quotas_a, 0, 1)
-    _quota_bump(counts_b, quotas_b, 0, 1)
-    rec([0], [0], 1, 1, 1, frozenset(), frozenset())
-
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for a, b in sorted(results):
-        if _canonical_translate(a, m) != a:
-            continue
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        yield TilingInstance.from_sets(mod, a, b)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        if _canonical_translate(a, mod.m) == a:
+            for b in find_complements(a, mod):
+                yield a, b

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclotile.cli import main
 from cyclotile.io import parse_instance, write_instance
+from cyclotile.zm import factorize
 
 
 @pytest.fixture()
@@ -60,6 +62,15 @@ class TestVerify:
             '{"m": 4, "weights_a": [5], "b": [0,1,2,3]}',
             '{"m": 4, "primes": [2], "a": [0], "b": [0,1,2,3]}',
             '{"m": 0, "weights_a": [[0,1]], "b": [0]}',
+            '{"m":4,"a":[0,2.9],"b":[0,1]}',
+            '{"m": 4.7, "a": [0,2], "b": [0,1]}',
+            '{"m": 4, "a": ["0","2"], "b": [0,1]}',
+            '{"m": 4, "a": [false, true], "b": [0,2]}',
+            '{"m": 4, "primes": [[2, 2.0]], "a": [0,2], "b": [0,1]}',
+            '{"m": 4, "primes": [[2305843009213693951, 1]], "a": [0,2], "b": [0,1]}',
+            '{"m": 4, "weights_a": [[0, 1.5]], "b": [0,1,2,3]}',
+            '{"m":2,"a":[0],"b":[0,1],"weights_a":[[0,99999999999999999999]]}',
+            '{"m":2,"b":[0,1],"weights_a":[[0,9223372036854775807],[0,1]]}',
         ],
     )
     def test_malformed_instance_exit_two(self, tmp_path, capsys, text):
@@ -118,6 +129,13 @@ class TestShiftAndSearch:
         assert len(lines) == 2
         assert json.loads(lines[0])["b"] == [0, 2]
 
+    def test_search_deep_complement(self, tmp_path, capsys):
+        f = tmp_path / "a.json"
+        f.write_text('{"m": 2000, "a": [0]}')
+        assert main(["search", str(f)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["b"] == list(range(2000))
+
     def test_search_no_complement(self, tmp_path):
         f = tmp_path / "a.json"
         f.write_text('{"m": 4, "a": [0, 1, 2]}')
@@ -153,3 +171,50 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert "cyclotile" in capsys.readouterr().out
+
+
+_scalars = st.one_of(
+    st.integers(-3, 20),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+_weights = st.one_of(st.integers(-2, 2), st.integers(-(2**64), 2**64))
+
+
+@st.composite
+def _instances(draw):
+    """A JSON object whose fields are each valid for m, junk, or absent."""
+    m = draw(st.integers(1, 16))
+    side = st.sets(st.integers(0, m - 1)).map(sorted)
+    pairs = st.lists(st.tuples(st.integers(-1, m), _weights).map(list), max_size=5)
+    primes = st.just([[p, n] for p, n in factorize(m)] if m > 1 else [])
+    fields = {
+        "m": (st.just(m), ("valid", "valid", "valid", "junk")),
+        "a": (side, ("valid", "valid", "junk", "absent")),
+        "b": (side, ("valid", "valid", "junk", "absent")),
+        "weights_a": (pairs, ("valid", "junk", "absent", "absent")),
+        "weights_b": (pairs, ("valid", "junk", "absent", "absent")),
+        "primes": (primes, ("valid", "junk", "absent", "absent")),
+    }
+    obj = {}
+    for key, (valid, kinds) in fields.items():
+        kind = draw(st.sampled_from(kinds))
+        if kind != "absent":
+            obj[key] = draw(valid if kind == "valid" else _values)
+    return obj
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=_instances(), command=st.sampled_from(["verify", "t1", "spectrum", "search"]))
+    def test_exit_code_contract(self, path, obj, command):
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) in (0, 1, 2)

@@ -47,6 +47,15 @@ class TestFindComplements:
         first = find_complements([0, 1, 2, 3, 4, 5], m36, limit=1)
         assert len(first) == 1 and first[0] in full
 
+    def test_deep_complement_without_recursion(self):
+        # |B| = 1001 frames: deeper than the default recursion limit.
+        assert find_complements([0, 1], 2002, limit=1) == [tuple(range(0, 2002, 2))]
+
+    def test_cap(self):
+        # Past the cap the masks alone would outgrow memory: refuse up front.
+        with pytest.raises(ValueError):
+            find_complements([0], 1 << 15)
+
     def test_matches_brute_force_z12(self, m12):
         # oracle: direct check over all subsets
         for size in (2, 3, 4, 6):
@@ -101,18 +110,27 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_tilings(EnumerationTask(Modulus.of(450), 15)))
 
-    def test_engines_agree_z24(self):
-        mod = Modulus.of(24)
-        for k in (3, 4, 6):
-            outs = []
-            for engine in ("sweep", "pair"):
-                outs.append(
-                    sorted(
-                        (t.a.elements(), t.b.elements())
-                        for t in enumerate_tilings(EnumerationTask(mod, k, engine=engine))
-                    )
-                )
-            assert outs[0] == outs[1]
+    @pytest.mark.parametrize("m", [12, 16, 18, 20])
+    def test_matches_brute_force_oracle(self, m):
+        # Every k | m: plain and structured candidate streams, and the swap
+        # to the smaller side when k > m / k.
+        mod = Modulus.of(m)
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            least = [
+                a
+                for a in ((0, *rest) for rest in combinations(range(1, m), k - 1))
+                if a == min(tuple(sorted((x - t) % m for x in a)) for t in a)
+            ]
+            bs = np.array([(0, *rest) for rest in combinations(range(1, m), m // k - 1)])
+            expect = []
+            for a in least:
+                sums = np.sort((np.array(a)[None, :, None] + bs[:, None, :]).reshape(len(bs), m) % m)
+                covers = (sums == np.arange(m)).all(axis=1)
+                expect += [(a, tuple(map(int, b))) for b in bs[covers]]
+            got = sorted(
+                (t.a.elements(), t.b.elements()) for t in enumerate_tilings(EnumerationTask(mod, k))
+            )
+            assert got == expect, (m, k)
 
 
 class TestTheoremOneOne:
