@@ -105,7 +105,7 @@ def phi_divides(s: int, a: Multiset) -> bool:
     w = a.weights
     rotations = _rotations(s)
     # the module docstring's exactness bound; past it, Python ints
-    if (m // s) * int(np.abs(w).max()) << len(rotations) >= 2**62:
+    if (m // s) * max(int(w.max()), -int(w.min())) << len(rotations) >= 2**62:
         w = w.astype(object)
     f = w.reshape(m // s, s).sum(axis=0)
     for k in rotations:

@@ -71,7 +71,7 @@ class Multiset:
     @property
     def total(self) -> int:
         """A(1), the weight sum."""
-        return int(self.weights.sum())
+        return int(self.weights.sum(dtype=object))
 
     @property
     def is_set(self) -> bool:
@@ -89,6 +89,12 @@ class Multiset:
         if not self.is_set:
             raise ValueError("multiset has weights outside {0,1}")
         return self.support()
+
+    def fiber_roots(self, nu: int) -> np.ndarray:
+        """Sorted roots r < m/p_nu whose M-fiber r + (m/p_nu)*Z_m lies in the
+        support; row i of the reshape holds the points r + i*m/p_nu."""
+        p = self.modulus.primes[nu][0]
+        return np.flatnonzero((self.weights != 0).reshape(p, -1).all(axis=0))
 
     def weight(self, x: int) -> int:
         return int(self.weights[x % self.modulus.m])

@@ -99,14 +99,8 @@ def fiber_chain_divisors(a: Multiset, nu: int) -> bool:
     mod = a.modulus
     _require(mod.num_primes == 3, "needs a 3-prime modulus")
     _require(all(n == 2 for _, n in mod.primes), "needs a square modulus")
-    p = mod.primes[nu][0]
-    step = mod.m // p
-    sup = a.support()
-    _require(bool(sup), "empty set")
-    groups: dict[int, int] = {}
-    for x in sup:
-        groups[x % step] = groups.get(x % step, 0) + 1
-    _require(all(c == p for c in groups.values()), "not a union of full fibers")
+    _require(len(a) > 0, "empty set")
+    _require(len(a) == mod.primes[nu][0] * len(a.fiber_roots(nu)), "not a union of full fibers")
     for k in range(3):
         if k == nu:
             continue

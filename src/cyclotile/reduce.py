@@ -4,10 +4,14 @@ A (1,2)-cofibered structure (the complement fibered at scale M/p in some
 direction, plus a whole M-fiber of A in that direction) licenses moving that
 fiber by a distance of M/p^2 without breaking the tiling or changing the
 prime-power cyclotomic divisors.  The reduction engine searches over such
-moves for a chain that turns A into a top-scale grid; the classifier
-dispatches tilings of odd 3-prime square moduli through the structure
-detectors and reduction predicates, attaching machine-checked certificates
-to every branch it claims.
+moves for a chain that turns A into a top-scale grid.  Its state is the
+support of A plus the per-grid counts bincount(A mod D(M)), and successors
+are legal by construction: roots are the full fibers (`fiber_roots`) and
+targets sit at M/p^2, so only a collision with A is tested, and a move
+updates the counts at two grids.  The classifier dispatches tilings of odd
+3-prime square moduli through the structure detectors and reduction
+predicates, attaching machine-checked certificates to every branch it
+claims.
 """
 
 from __future__ import annotations
@@ -60,19 +64,9 @@ def detect_cofibered(t: TilingInstance, nu: int) -> tuple[tuple[int, ...], ...] 
         return None
     if not is_n_fibered(t.b, mod.m // p, nu):
         return None
-    cofibers = []
     step = mod.m // p
-    sup = set(t.a.support())
-    seen = set()
-    for x in sorted(sup):
-        root = x % step
-        if root in seen:
-            continue
-        fib = mod.fiber(x, nu)
-        if all(y in sup for y in fib):
-            cofibers.append(tuple(sorted(fib)))
-            seen.add(root)
-    return tuple(cofibers) if cofibers else None
+    roots = t.a.fiber_roots(nu).tolist()
+    return tuple(tuple(range(r, mod.m, step)) for r in roots) if roots else None
 
 
 @dataclass(frozen=True)
@@ -104,36 +98,19 @@ def fiber_shift(t: TilingInstance, move: ShiftMove) -> TilingInstance:
         raise ShiftError(f"no (1,2)-cofibered structure in direction {nu}")
     if mod.gcd_with(move.root - move.target, mod.m) != mod.m // p**2:
         raise ShiftError("target must sit at distance M/p^2 from the fiber")
-    old_fiber = mod.fiber(move.root, nu)
-    sup = set(t.a.support())
-    if not all(y in sup for y in old_fiber):
+    if move.root % (mod.m // p) not in t.a.fiber_roots(nu):
         raise ShiftError("the declared fiber is not contained in A")
+    remaining = set(t.a.support()).difference(mod.fiber(move.root, nu))
     new_fiber = mod.fiber(move.target, nu)
-    remaining = sup - set(old_fiber)
-    if remaining & set(new_fiber):
+    if not remaining.isdisjoint(new_fiber):
         raise ShiftError("target fiber collides with A")
-    new_a = Multiset.from_set(mod, sorted(remaining | set(new_fiber)))
+    new_a = Multiset.from_set(mod, sorted(remaining.union(new_fiber)))
     out = TilingInstance(mod, new_a, t.b)
     if not (verify_direct(out) and verify_poly(out) and verify_sands(out)):
         raise ShiftError("shift destroyed the tiling; caller bug")
     if cyclo.s_a(new_a) != cyclo.s_a(t.a):
         raise ShiftError("shift changed the prime-power spectrum; caller bug")
     return out
-
-
-def _apply_shift_unchecked(a_support: frozenset[int], mod: Modulus, move: ShiftMove) -> frozenset[int] | None:
-    """Fast legality (fiber present, target vacant) for search; None if illegal."""
-    p = mod.primes[move.direction][0]
-    if mod.gcd_with(move.root - move.target, mod.m) != mod.m // p**2:
-        return None
-    old_fiber = set(mod.fiber(move.root, move.direction))
-    if not old_fiber <= a_support:
-        return None
-    new_fiber = set(mod.fiber(move.target, move.direction))
-    rest = a_support - old_fiber
-    if rest & new_fiber:
-        return None
-    return frozenset(rest | new_fiber)
 
 
 # -- reduction to a grid -----------------------------------------------------------
@@ -154,23 +131,6 @@ class ReductionTrace:
         return all(self.verdicts) and len(set(self.spectra)) <= 1
 
 
-def _is_grid(mod: Modulus, support: frozenset[int]) -> bool:
-    d = mod.d_of_m
-    if len(support) != mod.m // d:
-        return False
-    anchor = min(support) % d
-    return all(x % d == anchor for x in support)
-
-
-def _grid_completion_score(mod: Modulus, support: frozenset[int]) -> int:
-    """max over grids of |support on the grid| (higher = closer to a grid)."""
-    counts: dict[int, int] = {}
-    d = mod.d_of_m
-    for x in support:
-        counts[x % d] = counts.get(x % d, 0) + 1
-    return max(counts.values())
-
-
 def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | None:
     """Best-first search over fiber shifts until A becomes a D(M)-grid.
 
@@ -182,76 +142,71 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
     if not verify_direct(t):
         raise ValueError("reduction requires a verified tiling")
     mod = t.modulus
-    start_support = frozenset(t.a.support())
-    if _is_grid(mod, start_support):
+    m, d = mod.m, mod.d_of_m
+    start = frozenset(t.a.support())
+    start_counts = np.bincount(np.fromiter(start, dtype=np.int64) % d, minlength=d)
+
+    def is_grid(counts: np.ndarray) -> bool:
+        return counts.max() == len(start) == m // d
+
+    if is_grid(start_counts):
         return _build_trace(t, ())
 
-    div_b = t.div_b()
     gcd_tab = mod.gcd_table()
-
-    def sat_on_single_line(support: frozenset[int], x: int, nu: int) -> bool:
-        sup = np.fromiter(support, dtype=np.int64)
-        ds = gcd_tab[(x - sup) % mod.m]
-        sat = sup[np.isin(ds, list(div_b))]
-        if sat.size == 0:
-            return False
-        line_step = mod.m_nu(nu)
-        return bool(np.all((sat - x) % line_step == 0))
-
+    in_div_b = np.zeros(m + 1, dtype=bool)
+    in_div_b[list(t.div_b())] = True
+    # Fixed by the start: a direction where A has no full fiber stays out.
     cofiber_dirs = [nu for nu in range(mod.num_primes) if detect_cofibered(t, nu)]
 
-    def moves_from(support: frozenset[int]) -> list[tuple[int, ShiftMove]]:
+    def successors(support: frozenset[int], counts: np.ndarray):
+        """Every move from a state, best first, with the support and per-grid
+        counts it leads to.  Roots are full fibers and targets sit at M/p^2,
+        so the only test left is that the target fiber is vacant."""
+        sup = np.fromiter(support, dtype=np.int64)
+        occupied = Multiset.from_set(mod, support)
         out = []
         for nu in cofiber_dirs:
             p = mod.primes[nu][0]
-            step = mod.m // p
-            dist = mod.m // p**2
-            roots = set()
-            for x in support:
-                r = x % step
-                if r in roots:
-                    continue
-                if all(((r + i * step) % mod.m) in support for i in range(p)):
-                    roots.add(r)
-            for r in sorted(roots):
-                # Targets at distance M/p^2: root - u * dist, u a unit mod p^2.
+            step, dist, line_step = m // p, m // p**2, mod.m_nu(nu)
+            for r in occupied.fiber_roots(nu).tolist():
+                rest = support.difference(range(r, m, step))
                 for u in range(1, p * p):
                     if u % p == 0:
                         continue
-                    target = (r + u * dist) % mod.m
-                    nxt = _apply_shift_unchecked(support, mod, ShiftMove(nu, r, target))
-                    if nxt is None:
+                    target = (r + u * dist) % m
+                    new_fiber = range(target % step, m, step)
+                    if not rest.isdisjoint(new_fiber):
                         continue
-                    score = -_grid_completion_score(mod, nxt)
-                    if sat_on_single_line(support, target, nu):
-                        score -= mod.m  # strong preference: the lemma-backed move
-                    out.append((score, ShiftMove(nu, r, target)))
-        out.sort(key=lambda sm: (sm[0], sm[1].direction, sm[1].root, sm[1].target))
+                    nxt_counts = counts.copy()
+                    nxt_counts[r % d] -= p
+                    nxt_counts[target % d] += p
+                    score = -int(nxt_counts.max())
+                    # The target's saturating set on one line through it: the
+                    # lemma-backed move, strongly preferred.
+                    sat = sup[in_div_b[gcd_tab[(target - sup) % m]]]
+                    if sat.size and not ((sat - target) % line_step).any():
+                        score -= m
+                    move = ShiftMove(nu, r, target)
+                    out.append((score, move, rest.union(new_fiber), nxt_counts))
+        out.sort(key=lambda c: (c[0], c[1].direction, c[1].root, c[1].target))
         return out
 
-    seen = {_canonical_translate(start_support, mod.m)}
-    heap: list[tuple[int, int, frozenset[int], tuple[ShiftMove, ...]]] = []
+    seen = {_canonical_translate(start, m)}
+    heap = [(-int(start_counts.max()), 0, start, start_counts, ())]
     counter = 0
-    heapq.heappush(
-        heap, (-_grid_completion_score(mod, start_support), counter, start_support, ())
-    )
     expanded = 0
     while heap and expanded < budget:
-        _, _, support, path = heapq.heappop(heap)
+        _, _, support, counts, path = heapq.heappop(heap)
         expanded += 1
-        for score, move in moves_from(support):
-            nxt = _apply_shift_unchecked(support, mod, move)
-            if nxt is None:
-                continue
-            key = _canonical_translate(nxt, mod.m)
+        for score, move, nxt, nxt_counts in successors(support, counts):
+            key = _canonical_translate(nxt, m)
             if key in seen:
                 continue
             seen.add(key)
-            new_path = path + (move,)
-            if _is_grid(mod, nxt):
-                return _build_trace(t, new_path)
+            if is_grid(nxt_counts):
+                return _build_trace(t, path + (move,))
             counter += 1
-            heapq.heappush(heap, (score, counter, nxt, new_path))
+            heapq.heappush(heap, (score, counter, nxt, nxt_counts, path + (move,)))
     return None
 
 
@@ -402,6 +357,34 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
             notes.append("sides interchanged so the top cyclotomic divides A")
         else:
             raise AssertionError("Phi_M divides neither side of a tiling")
+
+    def certified(
+        branch: str,
+        cert: TilingInstance,
+        direction: int | None = None,
+        structures: tuple[StructureFinding, ...] = (),
+        trace: ReductionTrace | None = None,
+    ) -> ClassificationReport | None:
+        """The report claiming `branch` when (T2) holds on both sides of
+        `cert`, else None."""
+        t2a, t2b, cross = _certify(cert)
+        if not (t2a and t2b):
+            return None
+        return ClassificationReport(
+            branch, swapped, direction, structures, trace, t2a, t2b, cross, tuple(notes)
+        )
+
+    def unresolved(
+        note: str,
+        direction: int | None = None,
+        structures: tuple[StructureFinding, ...] = (),
+        trace: ReductionTrace | None = None,
+    ) -> ClassificationReport:
+        notes.append(note)
+        return ClassificationReport(
+            "unresolved", swapped, direction, structures, trace, None, None, None, tuple(notes)
+        )
+
     if not (odd_square and sizes_ok):
         t2a, t2b, cross = _certify(t)
         notes.append("preconditions for the 3-prime odd-square pipeline not met")
@@ -416,16 +399,11 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         structures.append(finding)
         trace = reduce_to_grid(t, budget)
         if trace is not None and trace.ok:
-            t2a, t2b, cross = _certify(trace.final)
-            if t2a and t2b:
-                return ClassificationReport(
-                    "unfibered-grid", swapped, None, tuple(structures), trace,
-                    t2a, t2b, cross, tuple(notes),
-                )
-        notes.append("shift search did not reach a grid within budget")
-        return ClassificationReport(
-            "unresolved", swapped, None, tuple(structures), trace, None, None, None,
-            tuple(notes),
+            report = certified("unfibered-grid", trace.final, None, tuple(structures), trace)
+            if report:
+                return report
+        return unresolved(
+            "shift search did not reach a grid within budget", None, tuple(structures), trace
         )
 
     # Fibered case: every nonempty grid is fibered in at least one direction.
@@ -433,15 +411,11 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
     if part.triple:
         trace = reduce_to_grid(t, budget)
         if trace is not None and trace.ok:
-            t2a, t2b, cross = _certify(trace.final)
-            if t2a and t2b:
-                return ClassificationReport(
-                    "fibered-triple-grid", swapped, None, (), trace, t2a, t2b, cross,
-                    tuple(notes),
-                )
-        notes.append("triple intersection present but grid unreachable in budget")
-        return ClassificationReport(
-            "unresolved", swapped, None, (), trace, None, None, None, tuple(notes)
+            report = certified("fibered-triple-grid", trace.final, trace=trace)
+            if report:
+                return report
+        return unresolved(
+            "triple intersection present but grid unreachable in budget", trace=trace
         )
 
     support = frozenset(t.a.support())
@@ -449,16 +423,10 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         if part.set_for(nu) == support:
             # A is M-fibered in a single direction: slab route.
             if subtile_condition(t, nu) and slab_instances_verify(t, nu):
-                t2a, t2b, cross = _certify(t)
-                if t2a and t2b:
-                    return ClassificationReport(
-                        "slab-reduction", swapped, nu, (), None, t2a, t2b, cross,
-                        tuple(notes),
-                    )
-            notes.append(f"single-direction fibering in {nu} failed slab checks")
-            return ClassificationReport(
-                "unresolved", swapped, nu, (), None, None, None, None, tuple(notes)
-            )
+                report = certified("slab-reduction", t, nu)
+                if report:
+                    return report
+            return unresolved(f"single-direction fibering in {nu} failed slab checks", nu)
 
     empties = [nu for nu in range(3) if not part.set_for(nu)]
     for nu in empties:
@@ -472,22 +440,13 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         if cyclo.phi_divides(p, t.a) and cyclo.phi_divides(p**2, t.b):
             swapped_t = t.transpose()
             if subtile_condition(swapped_t, nu) and slab_instances_verify(swapped_t, nu):
-                t2a, t2b, cross = _certify(t)
-                if t2a and t2b:
-                    return ClassificationReport(
-                        "swapped-slab-reduction", swapped, nu, (), None, t2a, t2b,
-                        cross, tuple(notes),
-                    )
+                report = certified("swapped-slab-reduction", t, nu)
+                if report:
+                    return report
         if cyclo.phi_divides(p**2, t.a):
             sub_nu = subgroup_reduction_applies(t)
             if sub_nu is not None:
-                t2a, t2b, cross = _certify(t)
-                if t2a and t2b:
-                    return ClassificationReport(
-                        "subgroup-reduction", swapped, sub_nu, (), None, t2a, t2b,
-                        cross, tuple(notes),
-                    )
-    notes.append("no pipeline branch produced a certificate")
-    return ClassificationReport(
-        "unresolved", swapped, None, (), None, None, None, None, tuple(notes)
-    )
+                report = certified("subgroup-reduction", t, sub_nu)
+                if report:
+                    return report
+    return unresolved("no pipeline branch produced a certificate")

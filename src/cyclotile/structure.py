@@ -163,20 +163,17 @@ class IJKPartition:
 
 
 def ijk_partition(t: TilingInstance) -> IJKPartition:
-    """Per-direction full-fiber membership of A, plus the fibered-case flags."""
+    """Per-direction full-fiber membership of A (the points of the M-fibers
+    that lie in its support), plus the fibered-case flags."""
     mod = t.modulus
     if mod.num_primes != 3:
         raise ValueError("the fiber membership partition requires 3 primes")
     a = t.a
-    table = t.box_table("a")
     sets = []
     for nu in range(3):
         p = mod.primes[nu][0]
-        idx = mod.divisor_index(mod.m // p)
-        members = frozenset(
-            int(x) for x in np.flatnonzero(a.weights) if table[x, idx] == p - 1
-        )
-        sets.append(members)
+        fibers = a.fiber_roots(nu) + mod.m // p * np.arange(p)[:, None]
+        sets.append(frozenset(fibers.ravel().tolist()))
     support = frozenset(a.support())
     covers = support == sets[0] | sets[1] | sets[2]
     pairwise = tuple(

@@ -205,7 +205,30 @@ def _instances(draw):
         kind = draw(st.sampled_from(kinds))
         if kind != "absent":
             obj[key] = draw(valid if kind == "valid" else _values)
+    if draw(st.booleans()):
+        # a genuine tiling {0, ..., d-1} (+) d*Z_m, so commands get past verification
+        d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        obj.update(a=list(range(d)), b=list(range(0, m, d)))
     return obj
+
+
+def _line_form(obj: dict) -> str:
+    """The m, a and b fields of an instance object as a line-format file; a
+    junk value is written out token by token, as a hand edit might leave it."""
+    lines = []
+    for key in ("m", "a", "b"):
+        if key in obj:
+            tokens = obj[key] if isinstance(obj[key], list) else [obj[key]]
+            words = (t if isinstance(t, str) else json.dumps(t) for t in tokens)
+            lines.append(" ".join([key, *words]))
+    return "\n".join(lines) + "\n"
+
+
+_shift_args = st.lists(
+    st.one_of(st.integers(0, 5), st.integers(-3, 40), st.integers(-(2**80), 2**80)),
+    min_size=3,
+    max_size=3,
+)
 
 
 class TestFuzz:
@@ -213,8 +236,18 @@ class TestFuzz:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz") / "instance.json"
 
-    @settings(max_examples=150, deadline=None)
-    @given(obj=_instances(), command=st.sampled_from(["verify", "t1", "spectrum", "search"]))
-    def test_exit_code_contract(self, path, obj, command):
-        path.write_text(json.dumps(obj))
-        assert main([command, str(path)]) in (0, 1, 2)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        obj=_instances(),
+        lines=st.booleans(),
+        command=st.sampled_from(
+            ["verify", "t1", "spectrum", "search", "classify", "standardize", "shift"]
+        ),
+        shift=_shift_args,
+    )
+    def test_exit_code_contract(self, path, obj, lines, command, shift):
+        path.write_text(_line_form(obj) if lines else json.dumps(obj))
+        argv = [command, str(path)]
+        if command == "shift":
+            argv += [f"--{flag}={v}" for flag, v in zip(("dir", "root", "to"), shift)]
+        assert main(argv) in (0, 1, 2)

@@ -100,6 +100,13 @@ class TestPhiDivides:
                 folded = [sum(int(w) for w in b.weights[r::s]) for r in range(s)]
                 assert phi_divides(s, b) == poly_remainder_oracle(folded, s)
 
+    def test_most_negative_weight(self, m4):
+        # np.abs(-2^63) stays negative in int64, so a guard built on it would
+        # keep int64 and the fold would wrap A(-1) = -2^64 to 0
+        a = Multiset.from_pairs(m4, [(0, -(2**63)), (2, -(2**63))])
+        assert not phi_divides(2, a)
+        assert phi_divides(4, a)
+
     def test_fiber_cyclotomics(self, m225):
         # Phi_s | F_nu exactly when p_nu^2 | s | m
         for nu, p in ((0, 3), (1, 5)):

@@ -119,3 +119,35 @@ class TestViews:
     def test_elements_requires_set(self, m12):
         with pytest.raises(ValueError):
             Multiset.from_pairs(m12, [(0, 2)]).elements()
+
+    def test_total_is_exact(self, m4):
+        a = Multiset.from_pairs(m4, [(0, -(2**63)), (2, -(2**63))])
+        assert a.total == -(2**64)
+
+
+def _oracle_roots(pts: set[int], m: int, p: int) -> list[int]:
+    """Roots r < m/p whose fiber r + (m/p)Z_m lies in pts, point by point."""
+    step = m // p
+    return sorted({x % step for x in pts if all((x + i * step) % m in pts for i in range(p))})
+
+
+class TestFiberRoots:
+    @pytest.mark.parametrize("m", [225, 11025])
+    def test_matches_set_oracle(self, m):
+        mod = Modulus.of(m)
+        rng = np.random.default_rng(m)
+        for n in range(60):
+            # unions of random fibers, then single points toggled; every third
+            # one a plain random subset, whose fibers are mostly broken
+            if n % 3:
+                pts = set()
+                for _ in range(int(rng.integers(1, 12))):
+                    nu = int(rng.integers(mod.num_primes))
+                    pts |= set(mod.fiber(int(rng.integers(m)), nu))
+                pts ^= {int(x) for x in rng.integers(0, m, size=int(rng.integers(0, 4)))}
+            else:
+                pts = {x for x in range(m) if rng.random() < 0.6}
+            weights = rng.choice([-2, -1, 1, 3], size=len(pts))
+            a = Multiset.from_pairs(mod, zip(sorted(pts), weights.tolist()))
+            for nu, (p, _) in enumerate(mod.primes):
+                assert a.fiber_roots(nu).tolist() == _oracle_roots(pts, m, p)

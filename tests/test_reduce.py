@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from cyclotile import (
@@ -22,39 +21,7 @@ from cyclotile import (
     verify_direct,
 )
 from cyclotile.reduce import ShiftError, is_n_fibered, slab_instances_verify
-
-
-def random_shift_chain(t: TilingInstance, k: int, seed: int) -> TilingInstance:
-    """Apply k seeded random valid fiber shifts."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cur = t
-    for _ in range(k):
-        mod = cur.modulus
-        sup = set(cur.a.support())
-        options = []
-        for nu in range(mod.num_primes):
-            if detect_cofibered(cur, nu) is None:
-                continue
-            p = mod.primes[nu][0]
-            step = mod.m // p
-            dist = mod.m // p**2
-            roots = sorted(
-                {
-                    x % step
-                    for x in sup
-                    if all((x % step + i * step) % mod.m in sup for i in range(p))
-                }
-            )
-            for r in roots:
-                for u in range(1, p * p):
-                    if u % p == 0:
-                        continue
-                    tgt = (r + u * dist) % mod.m
-                    if (sup - set(mod.fiber(r, nu))) & set(mod.fiber(tgt, nu)):
-                        continue
-                    options.append(ShiftMove(nu, r, tgt))
-        cur = fiber_shift(cur, options[int(rng.integers(0, len(options)))])
-    return cur
+from tests_helpers import shifted_instance
 
 
 class TestCofibered:
@@ -126,7 +93,7 @@ class TestReduceToGrid:
         assert len(set(tr.spectra)) == 1
 
     def test_three_shift_roundtrip_11025(self, flat11025):
-        shifted = random_shift_chain(flat11025, 3, seed=7)
+        shifted = shifted_instance(flat11025, 3, seed=7)
         tr = reduce_to_grid(shifted, 10_000)
         assert tr is not None and tr.ok
         d = tr.final.modulus.d_of_m
@@ -188,7 +155,7 @@ class TestClassify:
         assert rep.trace is not None and rep.trace.moves == ()
 
     def test_shifted_instance(self, flat11025):
-        shifted = random_shift_chain(flat11025, 2, seed=3)
+        shifted = shifted_instance(flat11025, 2, seed=3)
         rep = classify(shifted)
         assert rep.resolved
         assert rep.t2_a and rep.t2_b and rep.standard_cross_check

@@ -156,6 +156,20 @@ class TestIJK:
         assert part.covers_a and part.triple == support
         assert part.flag_f and not part.flag_f1 and not part.flag_f2 and not part.flag_f3
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_box_table(self, flat11025, k):
+        # x is on a full fiber in direction nu iff the p - 1 other points at
+        # divisor class M/p_nu are in A: the box-table membership test
+        from tests_helpers import shifted_instance
+
+        t = shifted_instance(flat11025, k, seed=1)
+        mod = t.modulus
+        table = t.box_table("a")
+        part = ijk_partition(t)
+        for nu, (p, _) in enumerate(mod.primes):
+            idx = mod.divisor_index(mod.m // p)
+            assert part.set_for(nu) == {x for x in t.a.support() if table[x, idx] == p - 1}
+
     def test_mixed_double_fiber_example(self, m11025):
         # F_i * [(F_j * a) u (F_k * a)]: a lies in all three sets, yet the
         # plane is not fibered in the j or k directions alone.
