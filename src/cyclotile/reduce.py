@@ -5,10 +5,13 @@ direction, plus a whole M-fiber of A in that direction) licenses moving that
 fiber by a distance of M/p^2 without breaking the tiling or changing the
 prime-power cyclotomic divisors.  The reduction engine searches over such
 moves for a chain that turns A into a top-scale grid.  Its state is the
-support of A plus the per-grid counts bincount(A mod D(M)), and successors
-are legal by construction: roots are the full fibers (`fiber_roots`) and
-targets sit at M/p^2, so only a collision with A is tested, and a move
-updates the counts at two grids.  The classifier dispatches tilings of odd
+support of A.  Moves are legal by construction: roots are the full fibers
+(`fiber_roots`) and targets sit at M/p^2, so only a collision with A is
+tested.  All moves of a state are scored at once as arrays over roots and
+targets, from the per-grid counts bincount(A mod D(M)) (a move changes the
+counts at two grids); a successor's support is built only when the search
+reads its move, and a move that reaches a grid ends the search before any
+other successor is built.  The classifier dispatches tilings of odd
 3-prime square moduli through the structure detectors and reduction
 predicates, attaching machine-checked certificates to every branch it
 claims.
@@ -136,78 +139,102 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
 
     Move priority prefers shifts whose target's saturating set lies on a
     single line through the target (the cofiber signature) and targets on the
-    fullest grid.  Returns a fully re-verified trace, or None when the budget
-    is exhausted (grids unreachable for slab-type instances).
+    fullest grid.  Each expanded state scores all its moves at once as arrays
+    (`_scored_moves`); a successor's support is built only when the loop
+    reads the move.  A grid is never in `seen`: grid-ness is translation
+    invariant, the start is not a grid, and the search returns on the first
+    grid it adds.  So when a state has a move to a grid, the first such move
+    in sort order is the answer, and the search returns it before computing
+    any least translate for that state.  Returns a fully re-verified trace,
+    or None when the budget is exhausted (grids unreachable for slab-type
+    instances).
     """
     if not verify_direct(t):
         raise ValueError("reduction requires a verified tiling")
     mod = t.modulus
     m, d = mod.m, mod.d_of_m
     start = frozenset(t.a.support())
-    start_counts = np.bincount(np.fromiter(start, dtype=np.int64) % d, minlength=d)
-
-    def is_grid(counts: np.ndarray) -> bool:
-        return counts.max() == len(start) == m // d
-
-    if is_grid(start_counts):
+    start_max = int(np.bincount(np.fromiter(start, dtype=np.int64) % d, minlength=d).max())
+    if start_max == len(start) == m // d:
         return _build_trace(t, ())
 
-    gcd_tab = mod.gcd_table()
     in_div_b = np.zeros(m + 1, dtype=bool)
     in_div_b[list(t.div_b())] = True
     # Fixed by the start: a direction where A has no full fiber stays out.
     cofiber_dirs = [nu for nu in range(mod.num_primes) if detect_cofibered(t, nu)]
 
-    def successors(support: frozenset[int], counts: np.ndarray):
-        """Every move from a state, best first, with the support and per-grid
-        counts it leads to.  Roots are full fibers and targets sit at M/p^2,
-        so the only test left is that the target fiber is vacant."""
-        sup = np.fromiter(support, dtype=np.int64)
-        occupied = Multiset.from_set(mod, support)
-        out = []
-        for nu in cofiber_dirs:
-            p = mod.primes[nu][0]
-            step, dist, line_step = m // p, m // p**2, mod.m_nu(nu)
-            for r in occupied.fiber_roots(nu).tolist():
-                rest = support.difference(range(r, m, step))
-                for u in range(1, p * p):
-                    if u % p == 0:
-                        continue
-                    target = (r + u * dist) % m
-                    new_fiber = range(target % step, m, step)
-                    if not rest.isdisjoint(new_fiber):
-                        continue
-                    nxt_counts = counts.copy()
-                    nxt_counts[r % d] -= p
-                    nxt_counts[target % d] += p
-                    score = -int(nxt_counts.max())
-                    # The target's saturating set on one line through it: the
-                    # lemma-backed move, strongly preferred.
-                    sat = sup[in_div_b[gcd_tab[(target - sup) % m]]]
-                    if sat.size and not ((sat - target) % line_step).any():
-                        score -= m
-                    move = ShiftMove(nu, r, target)
-                    out.append((score, move, rest.union(new_fiber), nxt_counts))
-        out.sort(key=lambda c: (c[0], c[1].direction, c[1].root, c[1].target))
-        return out
-
     seen = {_canonical_translate(start, m)}
-    heap = [(-int(start_counts.max()), 0, start, start_counts, ())]
+    heap = [(-start_max, 0, start, ())]
     counter = 0
     expanded = 0
     while heap and expanded < budget:
-        _, _, support, counts, path = heapq.heappop(heap)
+        _, _, support, path = heapq.heappop(heap)
         expanded += 1
-        for score, move, nxt, nxt_counts in successors(support, counts):
+        moves, grid_move = _scored_moves(mod, support, cofiber_dirs, in_div_b)
+        if grid_move is not None:
+            return _build_trace(t, path + (ShiftMove(*grid_move[1:]),))
+        for score, nu, root, target in moves:
+            step = m // mod.primes[nu][0]
+            nxt = support.difference(range(root, m, step)).union(range(target % step, m, step))
             key = _canonical_translate(nxt, m)
             if key in seen:
                 continue
             seen.add(key)
-            if is_grid(nxt_counts):
-                return _build_trace(t, path + (move,))
             counter += 1
-            heapq.heappush(heap, (score, counter, nxt, nxt_counts, path + (move,)))
+            heapq.heappush(heap, (score, counter, nxt, path + (ShiftMove(nu, root, target),)))
     return None
+
+
+def _scored_moves(
+    mod: Modulus, support: frozenset[int], dirs: list[int], in_div_b: np.ndarray
+) -> tuple[list[tuple[int, int, int, int]], tuple[int, int, int, int] | None]:
+    """Every fiber-shift move of a state as `(score, direction, root, target)`,
+    sorted, and the first of them that makes A a D(M)-grid (or None).
+
+    Roots are the full fibers in each direction of `dirs`, and targets sit at
+    r + u*M/p^2 for u a unit mod p^2.  The target fiber lies in another class
+    mod M/p than the root fiber, so it is vacant when that class is empty in
+    the support.  A move takes p points from grid r mod D to grid t mod D,
+    another grid, since p divides D but not t - r = u*M/p^2 (p has exponent
+    2 in M).  Its score is minus the largest grid count it leaves, less M when the
+    target's saturating set lies on one line through the target (the
+    lemma-backed move).  The largest count is read from the two largest
+    counts of the state, so no per-move counts are built.
+    """
+    m, d = mod.m, mod.d_of_m
+    sup = np.fromiter(support, dtype=np.int64)
+    counts = np.bincount(sup % d, minlength=d)
+    best = int(counts.argmax())
+    runner_up = max(np.delete(counts, best).tolist(), default=0)
+    gcd_tab = mod.gcd_table()
+    occupied = Multiset.from_set(mod, support)
+    moves: list[tuple[int, int, int, int]] = []
+    grids: list[tuple[int, int, int, int]] = []
+    for nu in dirs:
+        p = mod.primes[nu][0]
+        step, dist, line_step = m // p, m // p**2, mod.m_nu(nu)
+        units = np.array([u for u in range(1, p * p) if u % p], dtype=np.int64)
+        roots = occupied.fiber_roots(nu).astype(np.int64)
+        targets = (roots[:, None] + units * dist) % m
+        touched = np.zeros(step, dtype=bool)
+        touched[sup % step] = True
+        vacant = ~touched[targets % step]
+        r = np.broadcast_to(roots[:, None], targets.shape)[vacant]
+        tg = targets[vacant]
+        rc, tc = r % d, tg % d
+        # Off the root's grid only the target's grid gains, so the largest
+        # count there is the state's own.
+        off_root = np.where(rc == best, runner_up, counts[best])
+        new_max = np.maximum.reduce([counts[tc] + p, counts[rc] - p, off_root])
+        diff = (tg[:, None] - sup) % m
+        sat = in_div_b[gcd_tab[diff]]
+        lemma = sat.any(axis=1) & ((diff % line_step == 0) | ~sat).all(axis=1)
+        rows = list(zip((-new_max - m * lemma).tolist(), [nu] * len(tg), r.tolist(), tg.tolist()))
+        moves += rows
+        if len(sup) == m // d:
+            grids += [row for row, full in zip(rows, (new_max == len(sup)).tolist()) if full]
+    moves.sort()
+    return moves, min(grids, default=None)
 
 
 def _build_trace(t: TilingInstance, moves: tuple[ShiftMove, ...]) -> ReductionTrace:

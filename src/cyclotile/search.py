@@ -8,14 +8,16 @@ candidates whose differences collide with the divisor set of the fixed side.
 Enumeration is one subset sweep: iterate candidate A of the smaller side's
 size, keep the lexicographically least translate, and search complements
 for each.  When |A| > m/|A| the swept pairs are swapped back (see
-`enumerate_tilings`).
+`enumerate_tilings`).  The least translate takes time linear in |A|: it is
+the least rotation of the cyclic gap sequence, found by the two-pointer
+minimum-expression algorithm (see `_canonical_translate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator
 
@@ -39,13 +41,36 @@ def _canonical_translate(elems: Iterable[int], m: int) -> tuple[int, ...]:
     The translate starting at the i-th smallest element is the run of partial
     sums of the cyclic gap sequence rotated to start at i, and partial sums of
     positive gaps order as the gaps do: the least rotation gives the answer.
+
+    The least rotation is found in linear time by the two-pointer
+    minimum-expression algorithm (linear like Booth's, 1980).  Rotation i
+    is the best so far and j > i the challenger; they agree on k gaps.  At
+    the first difference the larger side loses, and so does every rotation
+    up to k places after it, since the other side shifted by the same amount
+    is smaller.  Every start below j other than i has been ruled out, and a
+    full agreement (k = n) means the gap sequence is periodic, so i is
+    least.
     """
     xs = sorted(e % m for e in elems)
-    if not xs:
+    n = len(xs)
+    if not n:
         return ()
-    gaps = [y - x for x, y in zip(xs, xs[1:])] + [xs[0] + m - xs[-1]]
-    i = min(range(len(xs)), key=lambda i: gaps[i:] + gaps[:i])
-    return tuple((x - xs[i]) % m for x in xs[i:] + xs[:i])
+    g = [y - x for x, y in zip(xs, xs[1:])]
+    g.append(xs[0] + m - xs[-1])
+    g += g
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = g[i + k], g[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(i + k + 1, j)
+            j = i + 1
+        else:
+            j += k + 1
+        k = 0
+    return tuple(accumulate(g[i : i + n - 1], initial=0))
 
 
 def _equidistribution_quotas(m: int, own: int, other: int) -> list[tuple[int, int]]:

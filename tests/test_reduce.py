@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cyclotile import (
@@ -20,8 +21,69 @@ from cyclotile import (
     subtile_condition,
     verify_direct,
 )
+import cyclotile.reduce as reduce_mod
 from cyclotile.reduce import ShiftError, is_n_fibered, slab_instances_verify
 from tests_helpers import shifted_instance
+
+
+def _search_context(t: TilingInstance) -> tuple[list[int], np.ndarray]:
+    """The shift directions and the Div(B) lookup that reduce_to_grid fixes
+    from its start instance."""
+    in_div_b = np.zeros(t.modulus.m + 1, dtype=bool)
+    in_div_b[list(t.div_b())] = True
+    return [nu for nu in range(t.modulus.num_primes) if detect_cofibered(t, nu)], in_div_b
+
+
+def oracle_scored_moves(t: TilingInstance, support: frozenset[int]):
+    """Every move of a search state as `(score, direction, root, target,
+    reaches_grid)`, sorted, scored one move at a time: a counts copy and a
+    saturating-set test per move, as the search did before it scored moves
+    as arrays."""
+    mod = t.modulus
+    m, d = mod.m, mod.d_of_m
+    gcd_tab = mod.gcd_table()
+    dirs, in_div_b = _search_context(t)
+    sup = np.fromiter(support, dtype=np.int64)
+    counts = np.bincount(sup % d, minlength=d)
+    occupied = Multiset.from_set(mod, support)
+    out = []
+    for nu in dirs:
+        p = mod.primes[nu][0]
+        step, dist, line_step = m // p, m // p**2, mod.m_nu(nu)
+        for r in occupied.fiber_roots(nu).tolist():
+            rest = support.difference(range(r, m, step))
+            for u in range(1, p * p):
+                if u % p == 0:
+                    continue
+                target = (r + u * dist) % m
+                if not rest.isdisjoint(range(target % step, m, step)):
+                    continue
+                nxt_counts = counts.copy()
+                nxt_counts[r % d] -= p
+                nxt_counts[target % d] += p
+                score = -int(nxt_counts.max())
+                sat = sup[in_div_b[gcd_tab[(target - sup) % m]]]
+                if sat.size and not ((sat - target) % line_step).any():
+                    score -= m
+                reaches_grid = bool(nxt_counts.max() == len(support) == m // d)
+                out.append((score, nu, r, target, reaches_grid))
+    return sorted(out)
+
+
+# reduce_to_grid's moves on shifted_instance(flat11025, k, seed) at a budget,
+# keyed (k, seed, budget), recorded from the per-move scorer of
+# `oracle_scored_moves`.  None: the budget ran out.
+GOLDEN_MOVES = {
+    (1, 1, 1): ((1, 1113, 1995),),
+    (2, 1, 1): None,
+    (2, 4, 3): ((2, 1020, 1470), (2, 1530, 630)),
+    (3, 2, 10): ((2, 825, 1050), (1, 2163, 840), (0, 3640, 2415)),
+    (4, 2, 3): None,
+    (4, 3, 10): ((2, 45, 945), (1, 1533, 210), (0, 2240, 3465), (0, 3115, 1890)),
+    (5, 3, 10_000): (
+        (2, 45, 945), (1, 1533, 210), (0, 1715, 2940), (0, 2240, 3465), (0, 3115, 1890),
+    ),
+}
 
 
 class TestCofibered:
@@ -102,6 +164,75 @@ class TestReduceToGrid:
     def test_unverified_rejected(self, m4):
         with pytest.raises(ValueError):
             reduce_to_grid(TilingInstance.from_sets(m4, [0, 1], [0, 1]))
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_MOVES), ids=lambda c: "-".join(map(str, c)))
+    def test_golden_moves(self, flat11025, case):
+        k, seed, budget = case
+        tr = reduce_to_grid(shifted_instance(flat11025, k, seed), budget)
+        got = None if tr is None else tuple((mv.direction, mv.root, mv.target) for mv in tr.moves)
+        assert got == GOLDEN_MOVES[case]
+
+
+def _assert_matches_oracle(t: TilingInstance, support: frozenset[int], scored) -> None:
+    moves, grid_move = scored
+    expected = oracle_scored_moves(t, support)
+    assert moves == [mv[:4] for mv in expected]
+    grids = [mv[:4] for mv in expected if mv[4]]
+    assert grid_move == (grids[0] if grids else None)
+
+
+class TestScoredMoves:
+    @staticmethod
+    def check_popped_states(t: TilingInstance, monkeypatch) -> None:
+        """The array scorer against the per-move oracle on every state the
+        search pops; the last is the state whose move reaches a grid."""
+        popped = []
+        real = reduce_mod._scored_moves
+
+        def spy(mod, support, dirs, in_div_b):
+            out = real(mod, support, dirs, in_div_b)
+            popped.append((support, out))
+            return out
+
+        monkeypatch.setattr(reduce_mod, "_scored_moves", spy)
+        assert reduce_to_grid(t) is not None
+        for support, scored in popped:
+            _assert_matches_oracle(t, support, scored)
+        _, (_, last_grid_move) = popped[-1]
+        assert last_grid_move is not None
+
+    @pytest.mark.parametrize(
+        "flat,k,seed",
+        [("flat11025", k, s) for k in (1, 2, 3) for s in (1, 2)]
+        + [("flat225", k, s) for k in (1, 2) for s in (1, 2)],
+    )
+    def test_shifted_instances(self, request, monkeypatch, flat, k, seed):
+        self.check_popped_states(shifted_instance(request.getfixturevalue(flat), k, seed), monkeypatch)
+
+    def test_flat225_one_shift(self, flat225, monkeypatch):
+        self.check_popped_states(fiber_shift(flat225, ShiftMove(0, 0, 25)), monkeypatch)
+
+    @pytest.mark.parametrize("flat", ["flat225", "flat11025"])
+    def test_fiber_unions(self, request, flat):
+        """Seeded unions of M-fibers piled into a few grids mod D, so the
+        root or the target often sits on one of the fullest grids."""
+        t = request.getfixturevalue(flat)
+        mod = t.modulus
+        m, d = mod.m, mod.d_of_m
+        dirs, in_div_b = _search_context(t)
+        rng = np.random.default_rng(m)
+        for _ in range(30):
+            classes = rng.choice(d, size=3, replace=False)
+            support = set()
+            for _ in range(int(rng.integers(2, 12))):
+                nu = int(rng.integers(mod.num_primes))
+                step = m // mod.primes[nu][0]
+                root = int(rng.choice(classes)) + d * int(rng.integers(step // d))
+                support.update(range(root, m, step))
+            support = frozenset(support)
+            _assert_matches_oracle(
+                t, support, reduce_mod._scored_moves(mod, support, dirs, in_div_b)
+            )
 
 
 class TestSubgroupAndSlab:

@@ -20,7 +20,14 @@ from cyclotile import (
     verify_poly,
     verify_sands,
 )
+import cyclotile.reduce as reduce_mod
 from cyclotile.search import _canonical_translate
+from tests_helpers import shifted_instance
+
+
+def least_translate_oracle(a, m: int) -> tuple[int, ...]:
+    """The least of the sorted translates of A that start at 0."""
+    return min((tuple(sorted((x - t) % m for x in a)) for t in a), default=())
 
 
 class TestFindComplements:
@@ -101,10 +108,7 @@ class TestEnumeration:
         for m in range(1, 15):
             for size in range(m + 1):
                 for a in combinations(range(m), size):
-                    brute = min(
-                        (tuple(sorted((x - t) % m for x in a)) for t in a), default=()
-                    )
-                    assert _canonical_translate(a, m) == brute, (m, a)
+                    assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -131,6 +135,78 @@ class TestEnumeration:
                 (t.a.elements(), t.b.elements()) for t in enumerate_tilings(EnumerationTask(mod, k))
             )
             assert got == expect, (m, k)
+
+
+class TestLeastTranslateStress:
+    """Sets with long runs of equal gaps, the hard case for a two-pointer
+    least rotation: its pointers advance past a run only at a mismatch."""
+
+    @pytest.mark.parametrize("m", [36, 60, 225, 11025])
+    def test_periodic_sets(self, m):
+        # d*Z_m ties every rotation; a union of a few translates of d*Z_m
+        # has period d, so its gap sequence repeats m/d times.
+        rng = np.random.default_rng(m)
+        for d in Modulus.of(m).divisors:
+            if m // d > 400:
+                continue
+            base = range(0, m, d)
+            sets = [base]
+            if d > 1:
+                offsets = rng.choice(np.arange(1, d), size=min(d - 1, 3), replace=False)
+                sets.append(sorted({(x + int(o)) % m for x in base for o in (0, *offsets)}))
+            for a in sets:
+                shift = int(rng.integers(m))
+                a = [(x + shift) % m for x in a]
+                assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, d)
+
+    @pytest.mark.parametrize("m", [60, 225, 11025])
+    def test_runs_then_a_break(self, m):
+        # A run of equal gaps, then a smaller or larger gap: the pointers
+        # agree for the whole run before one of them loses.
+        rng = np.random.default_rng([m, 3])
+        for _ in range(60):
+            a = set()
+            for _ in range(int(rng.integers(1, 4))):
+                length = int(rng.integers(2, min(m // 4, 40) + 1))
+                step = int(rng.integers(1, m // length + 1))
+                start = int(rng.integers(m))
+                a |= {(start + i * step) % m for i in range(length)}
+            a = sorted(a)
+            assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
+
+    @pytest.mark.parametrize("m", [225, 11025])
+    def test_unions_of_fibers(self, m):
+        mod = Modulus.of(m)
+        rng = np.random.default_rng(m + 1)
+        for nu, (p, _) in enumerate(mod.primes):
+            step = m // p
+            for count in (1, 2, 3, 5, 15):
+                roots = rng.choice(step, size=min(count, step), replace=False)
+                a = sorted(int(r) + i * step for r in roots for i in range(p))
+                assert _canonical_translate(a, m) == least_translate_oracle(a, m), (nu, count)
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (1, 2, 3) for s in (1, 2)])
+    def test_shift_search_states(self, flat11025, monkeypatch, k, seed):
+        states = []
+        real = reduce_mod._canonical_translate
+
+        def spy(elems, m):
+            states.append(tuple(elems))
+            return real(elems, m)
+
+        monkeypatch.setattr(reduce_mod, "_canonical_translate", spy)
+        reduce_mod.reduce_to_grid(shifted_instance(flat11025, k, seed))
+        assert states
+        for a in states:
+            assert real(a, 11025) == least_translate_oracle(a, 11025)
+
+    @pytest.mark.parametrize("m", [12, 36, 97, 225, 11025])
+    def test_seeded_random_sets(self, m):
+        rng = np.random.default_rng([m, 7])
+        for _ in range(40):
+            size = int(rng.integers(1, min(m, 120) + 1))
+            a = rng.choice(m, size=size, replace=False).tolist()
+            assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
 
 
 class TestTheoremOneOne:
