@@ -9,7 +9,6 @@ from .cyclo import (
     CycloPoly,
     CycloSpectrum,
     cyclotomic,
-    decompose_two_prime,
     phi_divides,
     s_a,
     spectrum,
@@ -19,33 +18,19 @@ from .cyclo import (
     t2_check,
 )
 from .tiling import (
-    BoxView,
     DivSet,
-    Inapplicable,
     TilingInstance,
-    bispan,
-    box,
-    box_product,
-    check_bispan_bound,
+    box_product_sweep_is_one,
     div_set,
-    div_set_local,
-    enhanced_divisor_exclusion,
-    saturating_set,
-    span,
     verify_direct,
     verify_poly,
     verify_sands,
 )
 from .cuboid import (
-    Cuboid,
     CuboidType,
-    enumerate_cuboids,
-    eval_cuboid,
     is_t_null,
-    multi_phi_test,
     n_cuboid_type,
     phi_divides_via_cuboids,
-    phi_prime_power_uniform,
 )
 from .structure import (
     GridFiberReport,
@@ -57,8 +42,6 @@ from .structure import (
     detect_extended_corner,
     grid_fiber_report,
     ijk_partition,
-    is_m_fibered_on_grid,
-    missing_top_difference_fibering,
     plane_bound_check,
     remove_fibers,
 )

@@ -245,44 +245,3 @@ def standard_complement_of(b: Multiset) -> Multiset:
         for p, n in mod.primes
     ]
     return standard_complement(mod, tuple(a_fams))
-
-
-# -- two-prime fiber decomposition ---------------------------------------------
-
-
-def decompose_two_prime(a: Multiset, n_div: int) -> list[tuple[int, int, int]]:
-    """Write A mod N as a nonnegative combination of N-fibers (two-prime N).
-
-    Returns (root, direction nu, multiplicity) triples, roots canonicalized to
-    the least element of the fiber, peeled deterministically: least remaining
-    point first, direction in prime order on ties.  Raises if Phi_N does not
-    divide A, if weights are negative, or if peeling gets stuck (impossible
-    for genuine inputs by the vanishing-sum structure theorem).
-    """
-    mod_n = Modulus.of(n_div)
-    if mod_n.num_primes != 2:
-        raise ValueError(f"N={n_div} must have exactly two distinct prime factors")
-    reduced = a.reduce_mod(n_div) if a.modulus.m != n_div else a
-    if np.any(reduced.weights < 0):
-        raise ValueError("decomposition requires nonnegative weights")
-    if not phi_divides(n_div, reduced):
-        raise ValueError(f"Phi_{n_div} does not divide the input")
-    w = reduced.weights.copy()
-    out: list[tuple[int, int, int]] = []
-    while True:
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            return out
-        x = int(nz[0])
-        peeled = False
-        for nu in range(2):
-            step = n_div // mod_n.primes[nu][0]
-            fiber = np.arange(x % step, n_div, step)
-            mult = int(w[fiber].min())
-            if mult > 0:
-                w[fiber] -= mult
-                out.append((int(fiber[0]), nu, mult))
-                peeled = True
-                break
-        if not peeled:
-            raise ValueError("greedy fiber peeling failed; input is not a fiber sum")

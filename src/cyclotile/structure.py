@@ -9,7 +9,10 @@ detectors below classify how a set meets a grid: fibered directions,
 diagonal boxes, corners and extended corners, full planes, almost corners,
 and the even-modulus variants.  The classification dispatches on which top
 divisors (multiples of D(M)) occur among the differences of the grid
-restriction.
+restriction; acceptance criterion 8 checks its labels and
+`detect_extended_corner`.  `plane_bound_check` counts a tile's plane
+intersections against the plane bound, which acceptance criterion 9 checks
+on every swept tiling.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import cyclo
 from .multiset import Multiset
-from .tiling import Inapplicable, TilingInstance, div_set
+from .tiling import TilingInstance, div_set
 from .zm import Modulus
 
 _SUBSET_ENUM_GUARD = 1_000_000
@@ -88,24 +91,12 @@ class GridView:
         return _grid(a, self.anchor)[0]
 
 
-def grids_of(mod: Modulus) -> tuple[int, ...]:
-    """Anchors (least elements) of all D(M)-grids."""
-    return tuple(range(mod.d_of_m))
-
-
 def _fiber_roots(occ: np.ndarray, elements: np.ndarray, nu: int) -> tuple[bool, tuple[int, ...]]:
     """(fibered in direction nu, sorted least elements of the full fibers) of
     one grid's occupancy box."""
     if not _fibered(occ[None], nu + 1)[0]:
         return False, ()
     return True, tuple(sorted(elements.min(axis=nu)[occ.all(axis=nu)].tolist()))
-
-
-def is_m_fibered_on_grid(a: Multiset, anchor: int, nu: int) -> tuple[bool, tuple[int, ...]]:
-    """Whether A meets the grid in a disjoint union of full M-fibers in the
-    p_nu direction; returns (verdict, fiber roots).  Empty intersection is
-    vacuously fibered with no roots."""
-    return _fiber_roots(*_grid(a, anchor), nu)
 
 
 @dataclass(frozen=True)
@@ -519,19 +510,17 @@ def classify_unfibered_grid(a: Multiset, anchor: int) -> StructureFinding:
     return StructureFinding("none")
 
 
-# -- plane bound and missing-top-difference fibering ------------------------------------
+# -- the plane bound ----------------------------------------------------------------------
 
 
-def plane_bound_check(t: TilingInstance, require_tiling: bool = True) -> bool:
+def plane_bound_check(t: TilingInstance) -> bool:
     """Cardinality bound for tile-plane intersections at every scale.
 
     |A & Pi(x, p_nu^{n_nu - alpha})| <= p_nu^alpha * |A| / p_nu^{beta_nu},
-    where p_nu^{beta_nu} exactly divides |A|; checked for all x and alpha.
-    The bound is a theorem for tilings; pass require_tiling=False to run the
-    counting on arbitrary instances (it can then return False).
+    where p_nu^{beta_nu} exactly divides |A|; counted for all x and alpha.
+    The bound is a theorem for tilings; on other instances the count may
+    exceed it, and the result is then False.
     """
-    if require_tiling and not t.is_tiling():
-        raise ValueError("plane bound is stated for verified tilings")
     mod = t.modulus
     size = len(t.a)
     sup = np.array(t.a.support(), dtype=np.int64)
@@ -550,71 +539,3 @@ def plane_bound_check(t: TilingInstance, require_tiling: bool = True) -> bool:
             if counts.max() > bound:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class FiberingReport:
-    scale: int
-    direction: int
-    applicable: bool
-    per_grid: tuple[tuple[int, int], ...]  # (grid anchor, fibered direction)
-    single_direction: int | None
-    holds: bool
-
-
-def missing_top_difference_fibering(a: Multiset, n_div: int, nu: int) -> FiberingReport:
-    """Check the fibering forced by a missing top difference N/p_nu.
-
-    Hypotheses: Phi_N | A, reduced weights take a single nonzero value, p_nu
-    odd, and N/p_nu absent from Div_N on the grid under test.  Verifies that
-    every such grid is N-fibered in one of the other two directions; when two
-    top differences are missing (both odd primes), additionally confirms the
-    global single-direction fibering.  Raises Inapplicable outside the
-    hypotheses; holds=False would be a counterexample.
-    """
-    mod = a.modulus
-    if mod.m % n_div != 0:
-        raise Inapplicable(f"N={n_div} must divide m={mod.m}")
-    sub = Modulus.of(n_div)
-    if sub.num_primes != 3:
-        raise Inapplicable("the fibering lemma needs all three primes alive in N")
-    if sub.primes[nu][0] == 2:
-        raise Inapplicable("the missing-direction prime must be odd")
-    reduced = a.reduce_mod(n_div) if mod.m != n_div else a
-    vals = set(int(v) for v in np.unique(reduced.weights)) - {0}
-    if len(vals) != 1:
-        raise Inapplicable("reduced weights must take a single nonzero value")
-    if not cyclo.phi_divides(n_div, reduced):
-        raise Inapplicable(f"Phi_{n_div} does not divide A")
-    others = [k for k in range(3) if k != nu]
-    n_over_p = n_div // sub.primes[nu][0]
-    grids = grid_tensor(reduced)
-    occ = grids != 0
-    # A difference N/p_nu inside a grid joins two cells of one line along nu.
-    local_top = (occ.sum(axis=nu + 1) > 1).reshape(len(occ), -1).any(axis=1)
-    nonempty = occ.reshape(len(occ), -1).any(axis=1)
-    # Same-weight N-fibers in direction k: the weights are constant along k.
-    fibered = {k: _fibered(grids, k + 1) for k in range(3)}
-
-    per_grid: list[tuple[int, int]] = []
-    holds = True
-    for anchor in np.flatnonzero(nonempty & ~local_top).tolist():
-        direction = next((k for k in others if fibered[k][anchor]), None)
-        if direction is None:
-            holds = False
-        else:
-            per_grid.append((anchor, direction))
-    single = None
-    div_reduced = div_set(reduced).members
-    other_missing = [
-        k
-        for k in others
-        if sub.primes[k][0] != 2 and n_div // sub.primes[k][0] not in div_reduced
-    ]
-    if n_over_p not in div_reduced and other_missing:
-        third = next(k for k in range(3) if k != nu and k not in other_missing)
-        if fibered[third].all():
-            single = third
-        else:
-            holds = False
-    return FiberingReport(n_div, nu, True, tuple(per_grid), single, holds)

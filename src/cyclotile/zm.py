@@ -171,16 +171,6 @@ class Modulus:
             out.append(e)
         return tuple(out)
 
-    def divisor_from_exponents(self, alphas: tuple[int, ...] | list[int]) -> int:
-        if len(alphas) != self.num_primes:
-            raise ValueError("exponent vector has wrong length")
-        d = 1
-        for (p, n), a in zip(self.primes, alphas):
-            if not 0 <= a <= n:
-                raise ValueError(f"exponent {a} out of range for prime {p}^{n}")
-            d *= p**a
-        return d
-
     def d_of(self, n_div: int) -> int:
         """D(N): drop one from each positive exponent of the divisor N."""
         alphas = self.divisor_exponents(n_div)

@@ -54,7 +54,7 @@ from cyclotile.search import _canonical_translate, _structured_candidates
 from cyclotile.structure import GridView, classify_unfibered_grid, plane_bound_check
 from cyclotile.tiling import box_product_sweep_is_one, div_set
 
-from tests_helpers import shifted_instance
+from tests_helpers import admissible_pair_mask, shifted_instance
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -172,38 +172,6 @@ class SweepStats:
         self.split_lines: list[str] = []
 
 
-def _admissible_pair_mask(mod: Modulus) -> np.ndarray:
-    nd = len(mod.divisors)
-    out = np.zeros((nd, nd), dtype=bool)
-    for i, d1 in enumerate(mod.divisors):
-        for j, d2 in enumerate(mod.divisors):
-            if d1 == mod.m and d2 == mod.m:
-                continue
-            e1 = mod.divisor_exponents(d1)
-            e2 = mod.divisor_exponents(d2)
-            if any(a == b and a != n for (_, n), a, b in zip(mod.primes, e1, e2)):
-                continue
-            out[i, j] = True
-    return out
-
-
-def _plane_bound_arrays(mod: Modulus, elems: np.ndarray, size: int) -> bool:
-    for nu, (p, n) in enumerate(mod.primes):
-        beta = 0
-        while size % p ** (beta + 1) == 0:
-            beta += 1
-        for alpha in range(0, n + 1):
-            scale = p ** (n - alpha)
-            bound = p**alpha * (size // p**beta)
-            if scale == 1:
-                if size > bound:
-                    return False
-                continue
-            if np.bincount(elems % scale, minlength=scale).max() > bound:
-                return False
-    return True
-
-
 def _process_split(mod: Modulus, instances, stats: SweepStats, label: str) -> None:
     """Run the per-instance and batched checks of criteria 2/3/4/9."""
     m = mod.m
@@ -211,7 +179,7 @@ def _process_split(mod: Modulus, instances, stats: SweepStats, label: str) -> No
     phis = np.array([mod.phi_of_divisor(m // d) for d in mod.divisors], dtype=np.int64)
     big = int(np.lcm.reduce(phis))
     wvec = big // phis
-    admissible = _admissible_pair_mask(mod)
+    admissible = admissible_pair_mask(mod)
     rng = np.random.Generator(np.random.PCG64(mod.m))
 
     a_sets: dict[tuple[int, ...], None] = {}
@@ -245,7 +213,7 @@ def _process_split(mod: Modulus, instances, stats: SweepStats, label: str) -> No
         if np.any(co_a & co_b & admissible):
             stats.ede_failures += 1
         # criterion 9b: plane bound
-        if not _plane_bound_arrays(mod, np.array(a, dtype=np.int64), len(a)):
+        if not plane_bound_check(inst):
             stats.plane_failures += 1
 
     stats.instances += count
@@ -534,16 +502,7 @@ def test_criterion_9_divisor_exclusion_and_plane_bound(sweep: SweepStats, flat11
     # sampled tuples at 11025 on the standard pair and shifted fixtures
     rng = np.random.Generator(np.random.PCG64(9))
     mod = flat11025.modulus
-    admissible = []
-    for d1 in mod.divisors:
-        for d2 in mod.divisors:
-            if d1 == d2 == mod.m:
-                continue
-            e1, e2 = mod.divisor_exponents(d1), mod.divisor_exponents(d2)
-            if any(a == b and a != n for (_, n), a, b in zip(mod.primes, e1, e2)):
-                continue
-            admissible.append((mod.divisor_index(d1), mod.divisor_index(d2)))
-    admissible = np.array(admissible)
+    admissible = np.argwhere(admissible_pair_mask(mod))
     violations = 0
     for inst in (flat11025, shifted_instance(flat11025, 2, seed=91), shifted_instance(flat11025, 4, seed=92)):
         ta = inst.box_table("a")

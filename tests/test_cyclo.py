@@ -1,5 +1,10 @@
 """Cyclotomic polynomials, divisibility, spectra, the two tiling conditions,
-standard complements, and the two-prime fiber decomposition."""
+standard complements, and the two-prime fiber decomposition.
+
+Two independent routes to Phi_s | A live here as oracles for `phi_divides`:
+long division by Phi_s, and, for two-prime s and nonnegative weights,
+peeling A mod s into s-fibers (`decompose_two_prime`).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ from cyclotile import (
     Modulus,
     Multiset,
     cyclotomic,
-    decompose_two_prime,
     phi_divides,
     s_a,
     spectrum,
@@ -34,6 +38,48 @@ def poly_remainder_oracle(weights, s: int) -> bool:
             for j in range(d + 1):
                 rem[i - d + j] -= c * phi[j]
     return all(v == 0 for v in rem)
+
+
+def decompose_two_prime(a: Multiset, n_div: int) -> list[tuple[int, int, int]]:
+    """Write A mod N as a nonnegative combination of N-fibers (two-prime N).
+
+    Returns (root, direction nu, multiplicity) triples, roots canonicalized to
+    the least element of the fiber, peeled greedily: least remaining point
+    first, direction in prime order on ties, the fiber's least weight at a
+    time.  Raises ValueError on negative weights, or when peeling gets stuck.
+
+    Peeling gets stuck exactly when Phi_N does not divide A.  A sum of
+    N-fibers is divisible by Phi_N, and conversely a vanishing sum of N-th
+    roots of unity with nonnegative coefficients, N = p^a q^b, is a
+    nonnegative combination of rotated p- and q-cycles, that is, of N-fibers
+    (de Bruijn; Lam-Leung).  Greedy peeling loses nothing: if w >= mu on the
+    p-fiber F through x and a decomposition uses F fewer than mu times, the
+    q-fibers through the points of F are used often enough, and they cover
+    the same coset of order pq as the p-fibers F + j N/q; trade them.
+    """
+    mod_n = Modulus.of(n_div)
+    if mod_n.num_primes != 2:
+        raise ValueError(f"N={n_div} must have exactly two distinct prime factors")
+    reduced = a.reduce_mod(n_div) if a.modulus.m != n_div else a
+    if np.any(reduced.weights < 0):
+        raise ValueError("decomposition requires nonnegative weights")
+    w = reduced.weights.copy()
+    out: list[tuple[int, int, int]] = []
+    while True:
+        nz = np.flatnonzero(w)
+        if nz.size == 0:
+            return out
+        x = int(nz[0])
+        for nu in range(2):
+            step = n_div // mod_n.primes[nu][0]
+            fiber = np.arange(x % step, n_div, step)
+            mult = int(w[fiber].min())
+            if mult > 0:
+                w[fiber] -= mult
+                out.append((int(fiber[0]), nu, mult))
+                break
+        else:
+            raise ValueError("fiber peeling is stuck: Phi_N does not divide A")
 
 
 class TestCyclotomic:
@@ -275,3 +321,31 @@ class TestDecomposeTwoPrime:
             fib = Multiset.from_set(mod, range(root % (12 // p), 12, 12 // p))
             recon = recon.add(fib.scale(mult))
         assert recon == a
+
+    @pytest.mark.parametrize("m", [36, 100, 225])
+    def test_peeling_decides_divisibility(self, m):
+        # peeling is an independent route to Phi_s | A at every two-prime s
+        mod = Modulus.of(m)
+        rng = np.random.Generator(np.random.PCG64(m))
+        verdicts = []
+        for s in (d for d in mod.divisors if d > 1 and len(Modulus.of(d).primes) == 2):
+            sub = Modulus.of(s)
+            for trial in range(40):
+                w = np.zeros(m, dtype=np.int64)
+                for _ in range(int(rng.integers(1, 5))):
+                    nu = int(rng.integers(2))
+                    step = s // sub.primes[nu][0]
+                    lift = int(rng.integers(m // s)) * s
+                    w[(int(rng.integers(s)) % step + np.arange(0, s, step) + lift) % m] += 1
+                if trial % 2:
+                    w[int(rng.integers(m))] += 1
+                a = Multiset(mod, w)
+                try:
+                    decompose_two_prime(a, s)
+                    peeled = True
+                except ValueError:
+                    peeled = False
+                divides = poly_remainder_oracle(a.reduce_mod(s).weights, s)
+                assert peeled == phi_divides(s, a) == divides
+                verdicts.append(peeled)
+        assert any(verdicts) and not all(verdicts)

@@ -108,7 +108,7 @@ class TestCofibered:
 
     def test_n_fibered_detects(self, flat225):
         assert is_n_fibered(flat225.b, 75, 0)
-        assert not is_n_fibered(flat225.a, 75, 0) or True  # A-flat happens to be fibered too
+        assert not is_n_fibered(flat225.a, 75, 0)
 
 
 class TestFiberShift:

@@ -1,13 +1,18 @@
 """Grid fibering reports, the I/J/K partition, structure detectors, plane
-bound, and missing-top-difference fibering."""
+bound, and missing-top-difference fibering.
+
+The missing-top-difference fibering lemma lives here as a test-side check,
+`missing_top_difference_fibering`; no library path calls it.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cyclotile import (
-    Inapplicable,
     Modulus,
     Multiset,
     TilingInstance,
@@ -17,14 +22,82 @@ from cyclotile import (
     detect_extended_corner,
     grid_fiber_report,
     ijk_partition,
-    is_m_fibered_on_grid,
-    missing_top_difference_fibering,
+    phi_divides,
     plane_bound_check,
     remove_fibers,
     standard_complement,
 )
-from cyclotile.structure import GridView, _top_divisor_profile
+from cyclotile.structure import GridView, _fibered, _top_divisor_profile, grid_tensor
 from cyclotile.tiling import div_set
+from tests_helpers import Inapplicable
+
+
+@dataclass(frozen=True)
+class FiberingReport:
+    scale: int
+    direction: int
+    applicable: bool
+    per_grid: tuple[tuple[int, int], ...]  # (grid anchor, fibered direction)
+    single_direction: int | None
+    holds: bool
+
+
+def missing_top_difference_fibering(a: Multiset, n_div: int, nu: int) -> FiberingReport:
+    """Check the fibering forced by a missing top difference N/p_nu.
+
+    Hypotheses: Phi_N | A, reduced weights take a single nonzero value, p_nu
+    odd, and N/p_nu absent from Div_N on the grid under test.  Verifies that
+    every such grid is N-fibered in one of the other two directions; when two
+    top differences are missing (both odd primes), additionally confirms the
+    global single-direction fibering.  Raises Inapplicable outside the
+    hypotheses; holds=False would be a counterexample.
+    """
+    mod = a.modulus
+    if mod.m % n_div != 0:
+        raise Inapplicable(f"N={n_div} must divide m={mod.m}")
+    sub = Modulus.of(n_div)
+    if sub.num_primes != 3:
+        raise Inapplicable("the fibering lemma needs all three primes alive in N")
+    if sub.primes[nu][0] == 2:
+        raise Inapplicable("the missing-direction prime must be odd")
+    reduced = a.reduce_mod(n_div) if mod.m != n_div else a
+    vals = set(int(v) for v in np.unique(reduced.weights)) - {0}
+    if len(vals) != 1:
+        raise Inapplicable("reduced weights must take a single nonzero value")
+    if not phi_divides(n_div, reduced):
+        raise Inapplicable(f"Phi_{n_div} does not divide A")
+    others = [k for k in range(3) if k != nu]
+    n_over_p = n_div // sub.primes[nu][0]
+    grids = grid_tensor(reduced)
+    occ = grids != 0
+    # A difference N/p_nu inside a grid joins two cells of one line along nu.
+    local_top = (occ.sum(axis=nu + 1) > 1).reshape(len(occ), -1).any(axis=1)
+    nonempty = occ.reshape(len(occ), -1).any(axis=1)
+    # Same-weight N-fibers in direction k: the weights are constant along k.
+    fibered = {k: _fibered(grids, k + 1) for k in range(3)}
+
+    per_grid: list[tuple[int, int]] = []
+    holds = True
+    for anchor in np.flatnonzero(nonempty & ~local_top).tolist():
+        direction = next((k for k in others if fibered[k][anchor]), None)
+        if direction is None:
+            holds = False
+        else:
+            per_grid.append((anchor, direction))
+    single = None
+    div_reduced = div_set(reduced).members
+    other_missing = [
+        k
+        for k in others
+        if sub.primes[k][0] != 2 and n_div // sub.primes[k][0] not in div_reduced
+    ]
+    if n_over_p not in div_reduced and other_missing:
+        third = next(k for k in range(3) if k != nu and k not in other_missing)
+        if fibered[third].all():
+            single = third
+        else:
+            holds = False
+    return FiberingReport(n_div, nu, True, tuple(per_grid), single, holds)
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +119,14 @@ class TestGridFibering:
 
     def test_full_grid_all_directions(self, m11025):
         a = Multiset.from_set(m11025, range(0, 11025, 105))
-        ok_all = [is_m_fibered_on_grid(a, 0, nu) for nu in range(3)]
-        assert all(flag for flag, _ in ok_all)
-        assert len(ok_all[0][1]) == 35  # p_j * p_k roots
+        rep = grid_fiber_report(a, 0)
+        assert all(rep.fibered)
+        assert len(rep.roots[0]) == 35  # p_j * p_k roots
 
     def test_fiber_plus_point_never_fibered(self, m11025):
         pts = list(m11025.fiber(0, 0)) + [105]
         a = Multiset.from_set(m11025, pts)
-        for nu in range(3):
-            flag, _ = is_m_fibered_on_grid(a, 0, nu)
-            assert not flag
+        assert not any(grid_fiber_report(a, 0).fibered)
 
 
 def _oracle_members(a, anchor):
@@ -123,13 +194,10 @@ class TestAgainstSetOracle:
     def _check(self, a, anchors):
         for anchor in anchors:
             verdicts = [_oracle_fibered(a, anchor, nu) for nu in range(3)]
-            for nu in range(3):
-                assert is_m_fibered_on_grid(a, anchor, nu) == verdicts[nu]
             rep = grid_fiber_report(a, anchor)
             assert rep.empty == (not _oracle_members(a, anchor))
-            if not rep.empty:
-                assert rep.fibered == tuple(v for v, _ in verdicts)
-                assert rep.roots == tuple(r for _, r in verdicts)
+            assert rep.fibered == tuple(v for v, _ in verdicts)
+            assert rep.roots == tuple(r for _, r in verdicts)
             residual, removed = remove_fibers(a, anchor)
             left, stripped = _oracle_strip(a, anchor)
             assert set(residual.support()) == left and removed == stripped
@@ -186,8 +254,7 @@ class TestIJK:
         for nu, p in ((0, 3), (1, 5), (2, 7)):
             idx = mod.divisor_index(mod.m // p)
             assert table_t[a0, idx] == p - 1  # a0 on a full fiber in all three
-        flag_j, _ = is_m_fibered_on_grid(aset, 0, 1)
-        flag_k, _ = is_m_fibered_on_grid(aset, 0, 2)
+        _, flag_j, flag_k = grid_fiber_report(aset, 0).fibered
         assert not flag_j and not flag_k
 
     def test_no_fiber_direction_empty(self, m11025, flat11025):
@@ -387,12 +454,7 @@ class TestPlaneBound:
         # six points in one mod-9 plane exceed the bound 5 for |A| = 15
         pts = [t * 9 for t in range(6)] + [1, 2, 3, 4, 5, 6, 7, 8, 10]
         t = TilingInstance.from_sets(m225, pts, [0])
-        assert not plane_bound_check(t, require_tiling=False)
-
-    def test_unverified_rejected(self, m4):
-        t = TilingInstance.from_sets(m4, [0, 1], [0, 1])
-        with pytest.raises(ValueError):
-            plane_bound_check(t)
+        assert not plane_bound_check(t)
 
 
 class TestMissingTopDifference:

@@ -1,32 +1,166 @@
-"""Verifiers, divisor sets, boxes, box products, saturating sets, spans."""
+"""Verifiers, divisor sets, the box table and box product, saturating sets,
+spans and the enhanced divisor exclusion.
+
+The scalar box, box product, saturating sets, spans and the enhanced divisor
+exclusion live here as test code: the box and the scalar box product are the
+oracles for `TilingInstance.box_table` and `box_product_sweep_is_one`, and the
+rest are lemma-shaped checks swept over tilings.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from cyclotile import (
-    Inapplicable,
     Modulus,
     Multiset,
     TilingInstance,
-    bispan,
-    box,
-    box_product,
-    check_bispan_bound,
+    box_product_sweep_is_one,
     div_set,
-    div_set_local,
-    enhanced_divisor_exclusion,
-    saturating_set,
-    span,
     verify_direct,
     verify_poly,
     verify_sands,
 )
-from cyclotile.tiling import box_product_sweep_is_one
+from tests_helpers import Inapplicable, admissible_pair_mask
+
+
+# -- boxes and the box product, scalar ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoxView:
+    """The N-box of a multiset at anchor x: counts indexed by divisors of N."""
+
+    scale: int
+    anchor: int
+    counts: tuple[tuple[int, int], ...]  # (divisor of N, weighted count)
+
+    def count(self, d: int) -> int:
+        for dd, c in self.counts:
+            if dd == d:
+                return c
+        raise ValueError(f"{d} does not divide the box scale {self.scale}")
+
+    def total(self) -> int:
+        return sum(c for _, c in self.counts)
+
+
+def box(a: Multiset, n_div: int, x: int, window: Iterable[int] | None = None) -> BoxView:
+    """A^N_m[x] for all m | N: weighted counts of a in A with (x - a, N) = m."""
+    mod = a.modulus
+    if mod.m % n_div != 0:
+        raise ValueError(f"{n_div} does not divide m={mod.m}")
+    src = a.restrict(window) if window is not None else a
+    divs = [d for d in mod.divisors if n_div % d == 0]
+    acc = dict.fromkeys(divs, 0)
+    for elem in np.flatnonzero(src.weights):
+        g = mod.gcd_with(x - int(elem), n_div)
+        acc[g] += int(src.weights[elem])
+    return BoxView(n_div, x % mod.m, tuple((d, acc[d]) for d in divs))
+
+
+def box_product(t: TilingInstance, x: int, y: int) -> Fraction:
+    """Sum over m | M of A_m[x] B_m[y] / phi(M/m), as an exact rational, read
+    from scalar boxes."""
+    mod = t.modulus
+    bx = box(t.a, mod.m, x)
+    by = box(t.b, mod.m, y)
+    out = Fraction(0)
+    for d in mod.divisors:
+        out += Fraction(bx.count(d) * by.count(d), mod.phi_of_divisor(mod.m // d))
+    return out
+
+
+# -- saturating sets, spans, the enhanced divisor exclusion ----------------------------
+
+
+def saturating_set(t: TilingInstance, x: int, y: int | None = None) -> tuple[int, ...]:
+    """A_x (or A_{x,y} for a fixed y): elements of A whose difference to x is
+    matched in Div(B) (resp. realized at y)."""
+    if not t.is_tiling():
+        raise ValueError("saturating sets are defined for verified tilings")
+    mod = t.modulus
+    g = mod.gcd_table()
+    sup = np.flatnonzero(t.a.weights)
+    dx = g[(x - sup) % mod.m]
+    if y is None:
+        allowed = t.div_b()
+        keep = [int(a) for a, d in zip(sup, dx) if int(d) in allowed]
+    else:
+        sb = np.flatnonzero(t.b.weights)
+        realized = frozenset(int(v) for v in g[(y - sb) % mod.m])
+        keep = [int(a) for a, d in zip(sup, dx) if int(d) in realized]
+    return tuple(keep)
+
+
+def span(mod: Modulus, x: int, x2: int) -> frozenset[int]:
+    """Span(x, x'): union of planes Pi(x, p_nu^(alpha_nu + 1)) over the
+    directions where the gcd exponent of x - x' is not yet full.
+
+    Empty when (x - x', m) = m: the degenerate full-gcd case is fixed to the
+    empty union.
+    """
+    g = mod.gcd_with(x - x2, mod.m)
+    alphas = mod.divisor_exponents(g)
+    out: set[int] = set()
+    for nu, (p, n) in enumerate(mod.primes):
+        if alphas[nu] < n:
+            out.update(mod.plane(x, p ** (alphas[nu] + 1)))
+    return frozenset(out)
+
+
+def bispan(mod: Modulus, x: int, x2: int) -> frozenset[int]:
+    return span(mod, x, x2) | span(mod, x2, x)
+
+
+def check_bispan_bound(t: TilingInstance, x: int) -> bool:
+    """A_x inside the intersection of Bispan(x, a) over a in A.
+
+    Terms with (x - a, m) = m (i.e. a = x) are skipped: the bound is only
+    meaningful for proper differences.
+    """
+    if not t.is_tiling():
+        raise ValueError("bispan bound is defined for verified tilings")
+    mod = t.modulus
+    sat = set(saturating_set(t, x))
+    for a in t.a.elements():
+        if (x - a) % mod.m == 0:
+            continue
+        if not sat <= bispan(mod, x, a):
+            return False
+    return True
+
+
+def enhanced_divisor_exclusion(
+    t: TilingInstance, x: int, y: int, m1: int, m2: int
+) -> bool:
+    """No four-point configuration realizes the divisor pair (m1, m2) at x and y.
+
+    Hypotheses: m1, m2 | M and the pair is admissible (`admissible_pair_mask`).
+    Outside them raises Inapplicable.
+    """
+    mod = t.modulus
+    if not (mod.is_divisor(m1) and mod.is_divisor(m2)):
+        raise Inapplicable(f"{m1}, {m2} must divide m={mod.m}")
+    i1 = mod.divisor_index(m1)
+    i2 = mod.divisor_index(m2)
+    if not admissible_pair_mask(mod)[i1, i2]:
+        raise Inapplicable("both scales full, or equal non-full exponents")
+    ta = t.box_table("a")
+    tb = t.box_table("b")
+    prod = (
+        int(ta[x % mod.m, i1])
+        * int(ta[x % mod.m, i2])
+        * int(tb[y % mod.m, i1])
+        * int(tb[y % mod.m, i2])
+    )
+    return prod == 0
 
 
 def all_pairs_agree(m: int) -> bool:
@@ -90,16 +224,6 @@ class TestDivSets:
         assert div_set(a).members == {4, 2}
         assert div_set(b).members == {4, 1}
 
-    def test_local_contains_scale(self, m12):
-        a = Multiset.from_set(m12, [0, 3, 7])
-        for a0 in a.elements():
-            assert 12 in div_set_local(a, a0).members
-
-    def test_local_at_scale(self, m12):
-        a1 = Multiset.from_set(m12, [0, 4])
-        a2 = Multiset.from_set(m12, [6])
-        assert div_set_local(a1, a2, 6).members == {6, 2}
-
 
 class TestBoxes:
     def test_member_top_count(self, m12):
@@ -131,6 +255,19 @@ class TestBoxes:
                 assert table[x, idx] == bx.count(d)
 
 
+    @pytest.mark.parametrize("m, seed", [(36, 1), (36, 2), (225, 3)])
+    def test_box_table_matches_scalar_boxes(self, m, seed):
+        mod = Modulus.of(m)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = Multiset(mod, rng.integers(0, 3, size=m))
+        t = TilingInstance(mod, a, Multiset(mod, rng.integers(0, 2, size=m)))
+        for which in ("a", "b"):
+            table = t.box_table(which)
+            for x in range(m):
+                bx = box(t.side(which), m, x)
+                assert table[x].tolist() == [bx.count(d) for d in mod.divisors]
+
+
 class TestBoxProduct:
     def test_hand_expansion(self, m4):
         t = TilingInstance.from_sets(m4, [0, 2], [0, 1])
@@ -148,6 +285,22 @@ class TestBoxProduct:
         assert box_product_sweep_is_one(flat225, xs, ys)
         for x, y in zip(xs[:5], ys[:5]):
             assert box_product(flat225, int(x), int(y)) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_matches_scalar_off_tilings(self, m36, seed):
+        # on random pairs of sets the products vary, so the sweep must say
+        # "one" exactly at the anchor pairs where the scalar product is 1
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = rng.choice(36, size=int(rng.integers(2, 7)), replace=False)
+        b = rng.choice(36, size=int(rng.integers(2, 7)), replace=False)
+        t = TilingInstance.from_sets(m36, a.tolist(), b.tolist())
+        values = set()
+        for x in range(36):
+            for y in range(0, 36, 5):
+                scalar = box_product(t, x, y)
+                values.add(scalar)
+                assert box_product_sweep_is_one(t, np.array([x]), np.array([y])) == (scalar == 1)
+        assert len(values) > 1
 
     def test_non_tiling_breaks(self, m4):
         t = TilingInstance.from_sets(m4, [0, 1], [0, 1])
@@ -224,37 +377,19 @@ class TestEnhancedDivisorExclusion:
         t = TilingInstance.from_sets(m36, [0, 1, 2, 3, 4, 5], [0, 6, 12, 18, 24, 30])
         divs = m36.divisors
         checked = 0
-        for m1 in divs:
-            for m2 in divs:
-                if m1 == 36 and m2 == 36:
-                    continue
-                e1 = m36.divisor_exponents(m1)
-                e2 = m36.divisor_exponents(m2)
-                if any(
-                    a1 == a2 and a1 != n
-                    for (_, n), a1, a2 in zip(m36.primes, e1, e2)
-                ):
-                    continue
-                for x in range(0, 36, 5):
-                    for y in range(0, 36, 7):
-                        assert enhanced_divisor_exclusion(t, x, y, m1, m2)
-                        checked += 1
+        for i1, i2 in np.argwhere(admissible_pair_mask(m36)):
+            for x in range(0, 36, 5):
+                for y in range(0, 36, 7):
+                    assert enhanced_divisor_exclusion(t, x, y, divs[i1], divs[i2])
+                    checked += 1
         assert checked > 100
 
     def test_sampled_flat225(self, flat225):
         mod = flat225.modulus
-        admissible = []
-        for m1 in mod.divisors:
-            for m2 in mod.divisors:
-                if m1 == m2 == 225:
-                    continue
-                e1, e2 = mod.divisor_exponents(m1), mod.divisor_exponents(m2)
-                if any(a == b and a != n for (_, n), a, b in zip(mod.primes, e1, e2)):
-                    continue
-                admissible.append((m1, m2))
+        admissible = np.argwhere(admissible_pair_mask(mod))
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(400):
-            m1, m2 = admissible[int(rng.integers(len(admissible)))]
+            i1, i2 = admissible[int(rng.integers(len(admissible)))]
             x = int(rng.integers(225))
             y = int(rng.integers(225))
-            assert enhanced_divisor_exclusion(flat225, x, y, m1, m2)
+            assert enhanced_divisor_exclusion(flat225, x, y, mod.divisors[i1], mod.divisors[i2])

@@ -2,9 +2,35 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from cyclotile import ShiftMove, TilingInstance, detect_cofibered, fiber_shift
+from cyclotile import Modulus, ShiftMove, TilingInstance, detect_cofibered, fiber_shift
+
+
+class Inapplicable(Exception):
+    """A lemma-shaped check was invoked outside its hypotheses."""
+
+
+@lru_cache(maxsize=None)
+def admissible_pair_mask(mod: Modulus) -> np.ndarray:
+    """mask[i, j]: the divisor pair (divisors[i], divisors[j]) meets the
+    hypotheses of the enhanced divisor exclusion, namely not both equal to m,
+    and no prime with equal exponents below full in both."""
+    nd = len(mod.divisors)
+    out = np.zeros((nd, nd), dtype=bool)
+    for i, d1 in enumerate(mod.divisors):
+        for j, d2 in enumerate(mod.divisors):
+            if d1 == mod.m and d2 == mod.m:
+                continue
+            e1 = mod.divisor_exponents(d1)
+            e2 = mod.divisor_exponents(d2)
+            if any(a == b and a != n for (_, n), a, b in zip(mod.primes, e1, e2)):
+                continue
+            out[i, j] = True
+    out.setflags(write=False)
+    return out
 
 
 def valid_shift_moves(t: TilingInstance) -> list[ShiftMove]:
