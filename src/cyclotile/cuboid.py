@@ -84,7 +84,7 @@ def n_cuboid_type(mod: Modulus, n_div: int) -> CuboidType:
 def _smeared_weights(a: Multiset, ctype: CuboidType) -> np.ndarray:
     """W[x] = weighted count of A mod N against the template at anchor x."""
     n = ctype.scale
-    w = a.reduce_mod(n).weights if a.modulus.m != n else a.weights
+    w = a.reduce_mod(n).weights
     out = np.zeros(n, dtype=np.int64)
     for t, c in ctype.template:
         out += c * np.roll(w, -(t % n))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def is_n_fibered(b: Multiset, n_div: int, nu: int) -> bool:
     p = mod.primes[nu][0]
     if n_div % p != 0 or mod.m % n_div != 0:
         return False
-    w = b.reduce_mod(n_div).weights if mod.m != n_div else b.weights
+    w = b.reduce_mod(n_div).weights
     step = n_div // p
     folded = w.reshape(p, step)
     constant_per_coset = np.all(folded == folded[0], axis=0)
@@ -285,27 +286,18 @@ def subtile_condition(t: TilingInstance, nu: int) -> bool:
 
 def slab_extract(t: TilingInstance, nu: int) -> list[TilingInstance]:
     """Slab instances over Z_{M/p_nu}: for each coordinate translate of A,
-    keep the elements with nu-digit below p^{n-1} and reduce mod M/p."""
+    keep the elements with nu-digit below p^{n-1} and reduce mod M/p.  A
+    reduction that is not injective leaves weights above 1, which
+    `slab_instances_verify` rejects."""
     mod = t.modulus
     p, n = mod.primes[nu]
-    out = []
     sub = Modulus.of(mod.m // p)
+    b_red = t.b.reduce_mod(sub.m)
+    out = []
     for shift in range(p**n):
         translated = t.a.translate(shift * mod.m_nu(nu))
-        kept = [
-            a
-            for a in translated.support()
-            if 0 <= mod.array_coords(a)[nu] <= p ** (n - 1) - 1
-        ]
-        a_red = [a % (mod.m // p) for a in kept]
-        b_red_w = t.b.reduce_mod(mod.m // p)
-        if len(set(a_red)) != len(a_red) or not b_red_w.is_set:
-            # Non-injective reduction cannot be a tiling; record as plain sets
-            # via weights so the verifier can reject it.
-            a_ms = Multiset.from_pairs(sub, [(x, 1) for x in a_red])
-            out.append(TilingInstance(sub, a_ms, b_red_w))
-            continue
-        out.append(TilingInstance(sub, Multiset.from_set(sub, a_red), b_red_w))
+        kept = [a for a in translated.support() if mod.array_coords(a)[nu] < p ** (n - 1)]
+        out.append(TilingInstance(sub, Multiset.from_pairs(sub, [(a, 1) for a in kept]), b_red))
     return out
 
 
@@ -354,10 +346,11 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
     """Dispatch a tiling of an odd 3-prime square modulus to a certified branch.
 
     The pipeline follows the unfibered/fibered case split: an unfibered
-    top-scale grid routes through structure detection and the shift-search;
-    fully fibered tilings split on the triple intersection of the fiber
-    membership sets, then on single-direction fibering (slab), and finally on
-    the low-scale divisors of A (swapped slab / subgroup).  Every claimed
+    top-scale grid (after structure detection) and a triple intersection of
+    the fiber membership sets both go to the shift search; otherwise A is
+    fibered on every grid and splits on single-direction fibering (slab),
+    then, in a direction nu with no full fibers, on whether Phi_p divides A
+    (swapped slab) or, by (T1), Phi_{p^2} does (subgroup).  Every claimed
     branch carries machine-checked (T2) verdicts for both sides plus the
     standard-complement cross-check; instances outside the preconditions get
     a generic report, and budget exhaustion reports as unresolved.
@@ -370,9 +363,7 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         and all(p % 2 == 1 for p, _ in mod.primes)
         and all(n == 2 for _, n in mod.primes)
     )
-    pq = 1
-    for p, _ in mod.primes:
-        pq *= p
+    pq = prod(mod.prime_list)
     sizes_ok = len(t.a) == pq and len(t.b) == pq
     if not verify_direct(t):
         raise ValueError("classification requires a verified tiling")
@@ -419,32 +410,27 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
             "generic", swapped, None, (), None, t2a, t2b, cross, tuple(notes)
         )
 
-    structures: list[StructureFinding] = []
+    # An unfibered grid, or a triple intersection of the fiber membership
+    # sets, goes through the shift search.
     unfibered = unfibered_grids(t.a)
-    if unfibered:
-        finding = classify_unfibered_grid(t.a, unfibered[0])
-        structures.append(finding)
+    part = None if unfibered else ijk_partition(t)
+    if unfibered or part.triple:
+        if unfibered:
+            structures = (classify_unfibered_grid(t.a, unfibered[0]),)
+            branch = "unfibered-grid"
+            note = "shift search did not reach a grid within budget"
+        else:
+            structures = ()
+            branch = "fibered-triple-grid"
+            note = "triple intersection present but grid unreachable in budget"
         trace = reduce_to_grid(t, budget)
         if trace is not None and trace.ok:
-            report = certified("unfibered-grid", trace.final, None, tuple(structures), trace)
+            report = certified(branch, trace.final, None, structures, trace)
             if report:
                 return report
-        return unresolved(
-            "shift search did not reach a grid within budget", None, tuple(structures), trace
-        )
+        return unresolved(note, None, structures, trace)
 
-    # Fibered case: every nonempty grid is fibered in at least one direction.
-    part = ijk_partition(t)
-    if part.triple:
-        trace = reduce_to_grid(t, budget)
-        if trace is not None and trace.ok:
-            report = certified("fibered-triple-grid", trace.final, trace=trace)
-            if report:
-                return report
-        return unresolved(
-            "triple intersection present but grid unreachable in budget", trace=trace
-        )
-
+    # Fibered case without a triple intersection.
     support = frozenset(t.a.support())
     for nu in range(3):
         if part.set_for(nu) == support:
@@ -455,22 +441,22 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
                     return report
             return unresolved(f"single-direction fibering in {nu} failed slab checks", nu)
 
-    empties = [nu for nu in range(3) if not part.set_for(nu)]
-    for nu in empties:
-        others = [k for k in range(3) if k != nu]
-        j, k = others
-        if not (part.set_for(j) - part.set_for(k)) or not (
-            part.set_for(k) - part.set_for(j)
-        ):
+    # Every point of A lies on a full fiber, so with no fiber in direction nu
+    # A is the union of the other two sets, and neither of them contains the
+    # other (else it would be A, the slab case above).
+    for nu in range(3):
+        if part.set_for(nu):
             continue
         p = mod.primes[nu][0]
-        if cyclo.phi_divides(p, t.a) and cyclo.phi_divides(p**2, t.b):
+        # p exactly divides |A|, so by (T1) exactly one of Phi_p, Phi_{p^2}
+        # divides A, and the tiling puts the other on B.
+        if cyclo.phi_divides(p, t.a):
             swapped_t = t.transpose()
             if subtile_condition(swapped_t, nu) and slab_instances_verify(swapped_t, nu):
                 report = certified("swapped-slab-reduction", t, nu)
                 if report:
                     return report
-        if cyclo.phi_divides(p**2, t.a):
+        else:
             sub_nu = subgroup_reduction_applies(t)
             if sub_nu is not None:
                 report = certified("subgroup-reduction", t, sub_nu)

@@ -66,39 +66,6 @@ def _fibered(t: np.ndarray, axis: int) -> np.ndarray:
     return (t == t.take([0], axis=axis)).reshape(len(t), -1).all(axis=1)
 
 
-class GridView:
-    """A D(M)-grid with its coordinate identification.
-
-    Coordinates: x in the grid corresponds to (x - anchor)/D read through CRT,
-    so that moving by M/p_nu steps coordinate nu by one.
-    """
-
-    def __init__(self, mod: Modulus, anchor: int):
-        if mod.num_primes != 3:
-            raise ValueError("grid coordinates require a 3-prime modulus")
-        self.mod = mod
-        self.d = mod.d_of_m
-        self.anchor = anchor % self.d
-        self.sizes = mod.prime_list
-
-    def from_coords(self, coords: tuple[int, ...]) -> int:
-        if len(coords) != 3 or not all(0 <= c < p for c, p in zip(coords, self.sizes)):
-            raise ValueError(f"coordinates {coords} lie outside the box {self.sizes}")
-        return int(self.anchor + self.d * _box_offsets(self.mod)[tuple(coords)])
-
-    def occupancy(self, a: Multiset) -> np.ndarray:
-        """Boolean array over Z_{p_i} x Z_{p_j} x Z_{p_k} marking members of a."""
-        return _grid(a, self.anchor)[0]
-
-
-def _fiber_roots(occ: np.ndarray, elements: np.ndarray, nu: int) -> tuple[bool, tuple[int, ...]]:
-    """(fibered in direction nu, sorted least elements of the full fibers) of
-    one grid's occupancy box."""
-    if not _fibered(occ[None], nu + 1)[0]:
-        return False, ()
-    return True, tuple(sorted(elements.min(axis=nu)[occ.all(axis=nu)].tolist()))
-
-
 @dataclass(frozen=True)
 class GridFiberReport:
     anchor: int
@@ -112,11 +79,18 @@ class GridFiberReport:
 
 
 def grid_fiber_report(a: Multiset, anchor: int) -> GridFiberReport:
+    """Per direction, whether the grid through anchor is M-fibered, and the
+    roots of A's full fibers on it (empty when it is not fibered)."""
     mod = a.modulus
-    occ, elements = _grid(a, anchor)
+    d = mod.d_of_m
+    occ = _grid(a, anchor)[0]
     if not occ.any():
         return GridFiberReport(anchor, True, (True,) * mod.num_primes, ((),) * mod.num_primes)
-    flags, roots = zip(*(_fiber_roots(occ, elements, nu) for nu in range(mod.num_primes)))
+    flags = tuple(bool(_fibered(occ[None], nu + 1)[0]) for nu in range(mod.num_primes))
+    roots = tuple(
+        tuple(r for r in a.fiber_roots(nu).tolist() if r % d == anchor % d) if fibered else ()
+        for nu, fibered in enumerate(flags)
+    )
     return GridFiberReport(anchor, False, flags, roots)
 
 
@@ -128,26 +102,15 @@ def unfibered_grids(a: Multiset) -> list[int]:
     return np.flatnonzero(~fibered).tolist()
 
 
-def fibered_on_all_grids(a: Multiset) -> bool:
-    """Every nonempty grid restriction is M-fibered in at least one direction."""
-    return not unfibered_grids(a)
-
-
 # -- the I/J/K membership partition ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class IJKPartition:
-    """Fiber membership of each element of A, with the standing-assumption flags."""
+    """Fiber membership of each element of A."""
 
     sets: tuple[frozenset[int], ...]  # per direction: elements on a full fiber
-    covers_a: bool  # A == I u J u K
-    pairwise: tuple[tuple[int, int, int], ...]  # (nu, kappa, |intersection|)
-    triple: frozenset[int]
-    flag_f: bool
-    flag_f1: bool
-    flag_f2: bool
-    flag_f3: bool
+    triple: frozenset[int]  # elements on full fibers in all three directions
 
     def set_for(self, nu: int) -> frozenset[int]:
         return self.sets[nu]
@@ -155,43 +118,16 @@ class IJKPartition:
 
 def ijk_partition(t: TilingInstance) -> IJKPartition:
     """Per-direction full-fiber membership of A (the points of the M-fibers
-    that lie in its support), plus the fibered-case flags."""
+    that lie in its support)."""
     mod = t.modulus
     if mod.num_primes != 3:
         raise ValueError("the fiber membership partition requires 3 primes")
-    a = t.a
     sets = []
     for nu in range(3):
         p = mod.primes[nu][0]
-        fibers = a.fiber_roots(nu) + mod.m // p * np.arange(p)[:, None]
+        fibers = t.a.fiber_roots(nu) + mod.m // p * np.arange(p)[:, None]
         sets.append(frozenset(fibers.ravel().tolist()))
-    support = frozenset(a.support())
-    covers = support == sets[0] | sets[1] | sets[2]
-    pairwise = tuple(
-        (n1, n2, len(sets[n1] & sets[n2])) for n1, n2 in combinations(range(3), 2)
-    )
-    triple = sets[0] & sets[1] & sets[2]
-    odd = all(p % 2 == 1 for p, _ in mod.primes)
-    square = all(n == 2 for _, n in mod.primes)
-    pq = prod(p for p, _ in mod.primes)
-    sizes_ok = len(t.a) == pq and len(t.b) == pq
-    flag_f = (
-        odd
-        and square
-        and sizes_ok
-        and t.is_tiling()
-        and cyclo.phi_divides(mod.m, a)
-        and fibered_on_all_grids(a)
-    )
-    flag_f1 = flag_f and all(c == 0 for _, _, c in pairwise)
-    flag_f2 = flag_f and not triple and any(c for _, _, c in pairwise)
-    flag_f3 = flag_f and not triple and any(
-        not sets[nu] and (sets[k1] - sets[k2]) and (sets[k2] - sets[k1])
-        for nu, k1, k2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    )
-    return IJKPartition(
-        tuple(sets), covers, pairwise, triple, flag_f, flag_f1, flag_f2, flag_f3
-    )
+    return IJKPartition(tuple(sets), sets[0] & sets[1] & sets[2])
 
 
 # -- structure findings ---------------------------------------------------------------
@@ -220,59 +156,70 @@ def _subsets_lex(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def _least_between(lower: int, upper: int, p: int) -> tuple[int, ...] | None:
+    """The lexicographically least nonempty proper K of Z_p, as a sorted
+    tuple, with lower <= K <= upper as bitmasks; None when there is none.
+
+    A candidate is smaller than each of its extensions, and a smaller next
+    element beats a larger one whatever follows, so while its prefix is no
+    candidate the least K takes the least next element of `upper` that
+    leaves a proper completion (so K stays proper).  An element of `lower`
+    skipped on the way never comes back, and the loop then runs out."""
+    full = (1 << p) - 1
+    out: list[int] = []
+    chosen = 0
+    while not chosen or chosen & lower != lower:
+        for e in range(out[-1] + 1 if out else 0, p):
+            if (upper >> e) & 1 and (chosen | (1 << e) | (lower >> (e + 1) << (e + 1))) != full:
+                break
+        else:
+            return None
+        out.append(e)
+        chosen |= 1 << e
+    return tuple(out)
+
+
 def detect_diagonal_boxes(a: Multiset, anchor: int) -> StructureFinding:
     """Find nonempty proper I, J, K with (IxJxK) u (I^c x J^c x K^c) inside the
     grid restriction; returns the lexicographically least witness or none.
 
-    The subset search is exhaustive (not just proof-order slices), which is
-    feasible for the small primes this library targets.
+    The search runs over every I and J (not just proof-order slices); for
+    each pair, the cells free in every row of I x J bound K from above and
+    those missing from some row of I^c x J^c from below, and
+    `_least_between` reads off the least K.
     """
     mod = a.modulus
-    grid = GridView(mod, anchor)
-    occ = grid.occupancy(a)
-    pi, pj, pk = grid.sizes
-    if prod((2**p - 2) for p in grid.sizes) > _SUBSET_ENUM_GUARD:
+    if mod.num_primes != 3:
+        raise ValueError("grid coordinates require a 3-prime modulus")
+    occ = _grid(a, anchor)[0]
+    pi, pj, pk = mod.prime_list
+    if (2**pi - 2) * (2**pj - 2) > _SUBSET_ENUM_GUARD:
         raise ValueError("prime sizes too large for exhaustive subset search")
-    # Bitmask layers: for each i, the allowed (j, k) cells as bit j*pk + k.
-    layer = [sum(1 << b for b in np.flatnonzero(occ[i]).tolist()) for i in range(pi)]
-    all_jk = (1 << (pj * pk)) - 1
+    # cells[i][j]: the k with (i, j, k) in A, as bits.
+    cells = (occ * (1 << np.arange(pk))).sum(axis=2).tolist()
+    full_k = (1 << pk) - 1
 
-    def and_over(rows: tuple[int, ...]) -> int:
-        out = all_jk
-        for i in rows:
-            out &= layer[i]
+    def meet(masks) -> int:
+        out = full_k
+        for mask in masks:
+            out &= mask
         return out
 
-    k_masks = {ks: sum(1 << k for k in ks) for ks in _subsets_lex(pk)}
     for i_set in _subsets_lex(pi):
-        ic = tuple(v for v in range(pi) if v not in i_set)
-        allow = and_over(i_set)
-        allow_c = and_over(ic)
-        if not allow or not allow_c:
+        ic = [v for v in range(pi) if v not in i_set]
+        allow = [meet(cells[i][j] for i in i_set) for j in range(pj)]
+        allow_c = [meet(cells[i][j] for i in ic) for j in range(pj)]
+        if not any(allow) or not any(allow_c):
             continue
         for j_set in _subsets_lex(pj):
-            jc = tuple(v for v in range(pj) if v not in j_set)
-            for k_set in _subsets_lex(pk):
-                kc = tuple(v for v in range(pk) if v not in k_set)
-                box = 0
-                for j in j_set:
-                    box |= k_masks[k_set] << (j * pk)
-                if box & ~allow:
-                    continue
-                box_c = 0
-                for j in jc:
-                    box_c |= k_masks[kc] << (j * pk)
-                if box_c & ~allow_c:
-                    continue
+            upper = meet(allow[j] for j in j_set)
+            lower = full_k & ~meet(allow_c[j] for j in range(pj) if j not in j_set)
+            k_set = _least_between(lower, upper, pk)
+            if k_set is not None:
                 return StructureFinding(
                     "diagonal-boxes",
                     None,
-                    {
-                        "anchor": grid.anchor,
-                        "i": tuple(i_set),
-                        "j": tuple(j_set),
-                        "k": tuple(k_set),
-                    },
+                    {"anchor": anchor % mod.d_of_m, "i": i_set, "j": j_set, "k": k_set},
                 )
     return StructureFinding("none")
 
@@ -370,11 +317,11 @@ def _top_divisor_profile(a: Multiset, anchor: int) -> tuple[frozenset[int], froz
 
 
 def _boxes_exactly_cover(a: Multiset, anchor: int, finding: StructureFinding) -> bool:
-    grid = GridView(a.modulus, anchor)
-    occ = grid.occupancy(a)
+    sizes = a.modulus.prime_list
+    occ = _grid(a, anchor)[0]
     w = finding.witness
-    shape = np.zeros(grid.sizes, dtype=bool)
-    full = [list(range(p)) for p in grid.sizes]
+    shape = np.zeros(sizes, dtype=bool)
+    full = [list(range(p)) for p in sizes]
     ic = [v for v in full[0] if v not in w["i"]]
     jc = [v for v in full[1] if v not in w["j"]]
     kc = [v for v in full[2] if v not in w["k"]]

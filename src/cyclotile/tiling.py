@@ -114,11 +114,6 @@ class TilingInstance:
             self._cache[key] = t
         return self._cache[key]  # type: ignore[return-value]
 
-    def is_tiling(self) -> bool:
-        if "verdict" not in self._cache:
-            self._cache["verdict"] = verify_direct(self)
-        return self._cache["verdict"]  # type: ignore[return-value]
-
     def __repr__(self) -> str:
         return f"TilingInstance(m={self.modulus.m}, |A|={len(self.a)}, |B|={len(self.b)})"
 

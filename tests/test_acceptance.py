@@ -51,10 +51,10 @@ from cyclotile import (
 )
 from cyclotile.reduce import slab_instances_verify
 from cyclotile.search import _canonical_translate, _structured_candidates
-from cyclotile.structure import GridView, classify_unfibered_grid, plane_bound_check
+from cyclotile.structure import classify_unfibered_grid, plane_bound_check
 from cyclotile.tiling import box_product_sweep_is_one, div_set
 
-from tests_helpers import admissible_pair_mask, shifted_instance
+from tests_helpers import admissible_pair_mask, grid_point, shifted_instance
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -668,8 +668,7 @@ def test_criterion_7_subtile_equivalence():
 def _embed_on_grid_zero(mod: Modulus, coords_list, raw=()) -> Multiset:
     """Place the given grid-0 points (coords or raw elements) and fill every
     other top grid completely, so the whole set keeps the top cyclotomic."""
-    gv = GridView(mod, 0)
-    pts = {gv.from_coords(c) for c in coords_list} | {int(x) for x in raw}
+    pts = {grid_point(mod, c) for c in coords_list} | {int(x) for x in raw}
     full_elsewhere = [
         x + mod.d_of_m * t for x in range(1, mod.d_of_m) for t in range(mod.m // mod.d_of_m)
     ]
@@ -697,8 +696,7 @@ def test_criterion_8_structure_detectors():
         failures.append(f"diagonal-boxes got {f.kind}")
 
     # corner(k): misses exactly M/(p_i p_j)
-    gv = GridView(m, 0)
-    pts = set(m.fiber(gv.from_coords((0, 0, 0)), 0)) | set(m.fiber(gv.from_coords((0, 1, 1)), 1))
+    pts = set(m.fiber(grid_point(m, (0, 0, 0)), 0)) | set(m.fiber(grid_point(m, (0, 1, 1)), 1))
     corner = _embed_on_grid_zero(m, [], raw=pts)
     f = classify_unfibered_grid(corner, 0)
     want_missing = {m.m // (3 * 5)}
@@ -710,9 +708,9 @@ def test_criterion_8_structure_detectors():
 
     pts = set()
     for c in ((0, 0, 0), (0, 2, 3)):
-        pts |= set(m.fiber(gv.from_coords(c), 1))
+        pts |= set(m.fiber(grid_point(m, c), 1))
     for c in ((1, 0, 0), (1, 4, 0)):
-        pts |= set(m.fiber(gv.from_coords(c), 2))
+        pts |= set(m.fiber(grid_point(m, c), 2))
     ec = Multiset.from_set(m, sorted(pts))
     if not detect_extended_corner(ec, 0, 0).found:
         failures.append("extended-corner not found")
@@ -736,8 +734,7 @@ def test_criterion_8_structure_detectors():
         failures.append(f"almost-corner got {f.kind} missing {missing_of(ac, m)}")
 
     # even corner at 900 (p=2 present): single fibers per plane
-    gve = GridView(me, 0)
-    pts = set(me.fiber(gve.from_coords((0, 0, 0)), 0)) | set(me.fiber(gve.from_coords((0, 1, 1)), 1))
+    pts = set(me.fiber(grid_point(me, (0, 0, 0)), 0)) | set(me.fiber(grid_point(me, (0, 1, 1)), 1))
     evenc = _embed_on_grid_zero(me, [], raw=pts)
     f = classify_unfibered_grid(evenc, 0)
     if f.kind != "even-corner" or f.direction != 2:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclotile.cli import main
-from cyclotile.io import parse_instance, write_instance
-from cyclotile.zm import factorize
+from cyclotile.io import instance_file_from, parse_instance, write_instance
+from cyclotile.zm import Modulus, factorize
+from tests_helpers import LAYERED_BRANCH, layered_tiling, shifted_instance
 
 
 @pytest.fixture()
@@ -156,6 +157,22 @@ class TestClassifyCommand:
         assert payload["branch"] == "generic"
         assert payload["t2_a"] is True and payload["t2_b"] is True
         assert code == 1  # generic is not a resolved branch
+
+    @pytest.mark.parametrize("case", sorted(LAYERED_BRANCH), ids=str)
+    def test_layered_tiling_branch(self, tmp_path, capsys, case):
+        mod = Modulus.of(11025)
+        a, b = layered_tiling(mod, 1, case[0], seed=5)
+        f = tmp_path / "layered.json"
+        f.write_text(write_instance(instance_file_from(mod, *((b, a) if case[1] else (a, b)))))
+        assert main(["classify", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["branch"] == LAYERED_BRANCH[case][0]
+
+    def test_budget_exhausted_unresolved(self, tmp_path, capsys, flat11025):
+        t = shifted_instance(flat11025, 2, seed=3)
+        f = tmp_path / "shifted.json"
+        f.write_text(write_instance(instance_file_from(t.modulus, t.a, t.b)))
+        assert main(["classify", str(f), "--budget", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["branch"] == "unresolved"
 
     def test_deterministic_output(self, flat225_file, capsys):
         main(["classify", flat225_file])

@@ -9,6 +9,8 @@ a bug somewhere), True is one more data point.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from cyclotile import (
     verify_direct,
 )
 from cyclotile.reduce import slab_instances_verify
-from cyclotile.structure import GridView, _top_divisor_profile, unfibered_grids
+from cyclotile.structure import _grid, _top_divisor_profile, unfibered_grids
 from tests_helpers import Inapplicable, shifted_instance
 
 
@@ -46,13 +48,25 @@ def _is_3prime_tiling(t: TilingInstance) -> None:
     _require(verify_direct(t), "needs a verified tiling")
 
 
+def _assumption_f(t: TilingInstance) -> None:
+    """The standing assumption (F): an odd square 3-prime modulus, |A| = |B| =
+    p_i p_j p_k, a tiling, Phi_M | A, and A fibered on every grid it meets."""
+    mod = t.modulus
+    _require(mod.num_primes == 3, "needs a 3-prime modulus")
+    _require(all(p % 2 == 1 and n == 2 for p, n in mod.primes), "needs an odd square modulus")
+    _require(len(t.a) == len(t.b) == prod(mod.prime_list), "needs |A| = |B| = p_i p_j p_k")
+    _require(verify_direct(t), "needs a verified tiling")
+    _require(phi_divides(mod.m, t.a), "needs the top cyclotomic on A")
+    _require(not unfibered_grids(t.a), "assumption (F) does not hold")
+
+
 def unfibered_grid_has_diagonal_boxes(t: TilingInstance, anchor: int) -> bool:
     """If the grid restriction is nonempty and not a disjoint union of
     M-fibers, it must contain diagonal boxes."""
     _is_3prime_tiling(t)
     _require(phi_divides(t.modulus.m, t.a), "needs the top cyclotomic on A")
     residual, _ = remove_fibers(t.a, anchor)
-    _require(bool(GridView(t.modulus, anchor).occupancy(t.a).any()), "grid restriction is empty")
+    _require(bool(_grid(t.a, anchor)[0].any()), "grid restriction is empty")
     _require(len(residual) > 0, "grid restriction is a disjoint union of fibers")
     return detect_diagonal_boxes(t.a, anchor).found
 
@@ -73,7 +87,7 @@ def fiber_union_uses_two_directions(t: TilingInstance, anchor: int) -> bool:
     """A nonempty disjoint union of M-fibers decomposes using at most two
     directions."""
     _is_3prime_tiling(t)
-    occ = GridView(t.modulus, anchor).occupancy(t.a)
+    occ = _grid(t.a, anchor)[0]
     _require(bool(occ.any()), "grid restriction is empty")
     residual, removed = remove_fibers(t.a, anchor)
     _require(len(residual) == 0, "grid restriction is not a union of fibers")
@@ -122,14 +136,8 @@ def fiber_chain_divisors(a: Multiset, nu: int) -> bool:
 def triple_intersection_reduces(t: TilingInstance, budget: int = 10_000) -> bool:
     """Fibered tilings with an element on full fibers in all three directions
     reduce to a grid by fiber shifts."""
-    _is_3prime_tiling(t)
-    mod = t.modulus
-    _require(all(p % 2 == 1 for p, _ in mod.primes), "needs odd primes")
-    _require(all(n == 2 for _, n in mod.primes), "needs a square modulus")
-    _require(phi_divides(mod.m, t.a), "needs the top cyclotomic on A")
-    part = ijk_partition(t)
-    _require(part.flag_f, "assumption (F) does not hold")
-    _require(bool(part.triple), "triple intersection is empty")
+    _assumption_f(t)
+    _require(bool(ijk_partition(t).triple), "triple intersection is empty")
     trace = reduce_to_grid(t, budget)
     return trace is not None and trace.ok
 
@@ -137,10 +145,9 @@ def triple_intersection_reduces(t: TilingInstance, budget: int = 10_000) -> bool
 def fibered_intersection_plane_filled(t: TilingInstance, a_elem: int, j: int, k: int) -> bool:
     """An element on full fibers in two directions, whose grid is fibered in
     one of them, fills its transverse plane with the double fiber."""
-    _is_3prime_tiling(t)
+    _assumption_f(t)
     mod = t.modulus
     part = ijk_partition(t)
-    _require(part.flag_f, "assumption (F) does not hold")
     nu = next(n for n in range(3) if n not in (j, k))
     _require(a_elem in part.set_for(j) and a_elem in part.set_for(k), "element not in both sets")
     anchor = a_elem % mod.d_of_m

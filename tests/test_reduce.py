@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from cyclotile import (
     classify,
     detect_cofibered,
     fiber_shift,
+    find_complements,
     reduce_to_grid,
     s_a,
     slab_extract,
@@ -23,7 +27,14 @@ from cyclotile import (
 )
 import cyclotile.reduce as reduce_mod
 from cyclotile.reduce import ShiftError, is_n_fibered, slab_instances_verify
-from tests_helpers import shifted_instance
+from tests_helpers import (
+    LAYERED_BRANCH,
+    flat_tiling,
+    grid_shifts,
+    layered_tiling,
+    shifted_instance,
+    slab_tiling,
+)
 
 
 def _search_context(t: TilingInstance) -> tuple[list[int], np.ndarray]:
@@ -90,21 +101,19 @@ class TestCofibered:
     def test_flat225_both_directions(self, flat225):
         for nu in (0, 1):
             cof = detect_cofibered(flat225, nu)
-            assert cof is not None
-            assert (0, 75, 150) in cof or nu == 1
+            # A = 15*Z_225: the fiber through 0 in each direction, and one
+            # fiber per root below M/p
+            p = flat225.modulus.primes[nu][0]
+            assert cof is not None and len(cof) == 15 // p
+            assert tuple(range(0, 225, 225 // p)) in cof
 
     def test_flat11025_all_directions(self, flat11025):
         for nu in range(3):
             assert detect_cofibered(flat11025, nu) is not None
 
-    def test_unfibered_b_none(self, m225):
-        t = TilingInstance.from_sets(
-            m225, range(0, 225, 15), [(25 * i + 9 * j) % 225 for i in range(3) for j in range(5)]
-        )
-        # perturb B out of (M/p)-fiberedness by translating one element? that
-        # breaks the tiling; instead test a generic non-fibered pair
-        t2 = TilingInstance.from_sets(Modulus.of(12), [0, 1, 2, 3], [0, 4, 8])
-        assert detect_cofibered(t2, 1) is None
+    def test_unfibered_b_none(self):
+        t = TilingInstance.from_sets(Modulus.of(12), [0, 1, 2, 3], [0, 4, 8])
+        assert detect_cofibered(t, 1) is None
 
     def test_n_fibered_detects(self, flat225):
         assert is_n_fibered(flat225.b, 75, 0)
@@ -266,16 +275,77 @@ class TestSubgroupAndSlab:
     def test_equivalence_on_fibered_instance(self, m225):
         # A fibered in direction 0 satisfies both sides of the equivalence
         a_pts = sorted({(r + t * 75) % 225 for r in (0, 9, 18, 27, 36) for t in range(3)})
-        a = Multiset.from_set(m225, a_pts)
-        b = [x for x in range(225) if verify_direct(TilingInstance(m225, a, Multiset.from_set(m225, [0])) ) ] if False else None
-        # complement via search
-        from cyclotile import find_complements
-
         comps = find_complements(a_pts, m225, limit=1)
         assert comps
         t = TilingInstance.from_sets(m225, a_pts, comps[0])
         assert subtile_condition(t, 0)
         assert slab_instances_verify(t, 0)
+
+
+# -- every branch of classify, reached by a construction --------------------------------
+
+PRIME_TRIPLES = [(3, 5, 7), (3, 5, 11), (3, 7, 11)]
+
+SHIFT_NOTE = "shift search did not reach a grid within budget"
+TRIPLE_NOTE = "triple intersection present but grid unreachable in budget"
+
+
+def branch_cases(mod: Modulus):
+    """(label, instance, budget, branch, swapped, direction, note) for tilings
+    of Z_M, M = (p_i p_j p_k)^2, whose construction implies the branch.
+
+    - The D(M)-grid and two grid fibers moved in one direction leave every
+      grid fibered with a triple intersection; the second needs two moves
+      back, so one expanded state does not reach a grid.
+    - Two grid fibers moved in two directions leave the grid through 0
+      fibered in none; two moves back again.
+    - F_nu * S is fibered in direction nu alone.
+    - The standard tiling with |A| = p_i^2 p_j p_k is outside the sizes.
+    """
+    flat = flat_tiling(mod)
+    two_dirs = grid_shifts(flat, (0, 1), seed=1)
+    one_dir = grid_shifts(flat, (2, 2), seed=1)
+    yield "grid", flat, 10_000, "fibered-triple-grid", False, None, None
+    yield "one-direction", one_dir, 10_000, "fibered-triple-grid", False, None, None
+    yield "one-direction-budget-1", one_dir, 1, "unresolved", False, None, TRIPLE_NOTE
+    yield "two-directions", two_dirs, 10_000, "unfibered-grid", False, None, None
+    yield "two-directions-budget-1", two_dirs, 1, "unresolved", False, None, SHIFT_NOTE
+    wide = TilingInstance(
+        mod,
+        standard_complement(mod, ({1, 2}, {1}, {1})),
+        standard_complement(mod, (set(), {2}, {2})),
+    )
+    yield "wide", wide, 10_000, "generic", False, None, None
+    for nu in range(3):
+        yield f"slab-{nu}", slab_tiling(mod, nu), 10_000, "slab-reduction", False, nu, None
+        for (subgroup, as_ba), (branch, swapped) in LAYERED_BRANCH.items():
+            a, b = layered_tiling(mod, nu, subgroup, seed=nu)
+            t = TilingInstance(mod, b, a) if as_ba else TilingInstance(mod, a, b)
+            label = f"layered-{nu}-{'subgroup' if subgroup else 'residues'}"
+            yield f"{label}-{'ba' if as_ba else 'ab'}", t, 10_000, branch, swapped, nu, None
+
+
+def _classify_branches(source: str) -> set[str]:
+    """Branch names a classify source can report: the first argument of each
+    `certified(...)` call (a name is read through the constants assigned to
+    it), plus "generic" and "unresolved"."""
+    tree = ast.parse(source)
+    bound: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and isinstance(value, ast.Constant):
+                        bound.setdefault(name.id, set()).add(value.value)
+    out = {"generic", "unresolved"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certified":
+            first = node.args[0]
+            out |= {first.value} if isinstance(first, ast.Constant) else bound[first.id]
+    return out
 
 
 class TestClassify:
@@ -314,3 +384,32 @@ class TestClassify:
         assert rep.branch == "slab-reduction"
         assert rep.direction == 0
         assert rep.t2_a and rep.t2_b and rep.standard_cross_check
+
+    @pytest.mark.parametrize("primes", PRIME_TRIPLES, ids=lambda ps: "-".join(map(str, ps)))
+    def test_every_branch_reached(self, primes):
+        mod = Modulus.of(int(np.prod(primes)) ** 2)
+        reached = set()
+        for label, t, budget, branch, swapped, direction, note in branch_cases(mod):
+            assert verify_direct(t), label
+            rep = classify(t, budget=budget)
+            assert (rep.branch, rep.swapped, rep.direction) == (branch, swapped, direction), label
+            if branch == "unresolved":
+                assert rep.notes[-1] == note, label
+            else:
+                assert rep.t2_a and rep.t2_b and rep.standard_cross_check, label
+            reached.add(branch)
+        assert reached == _classify_branches(inspect.getsource(classify))
+
+    @pytest.mark.parametrize("seed,note", [(3, SHIFT_NOTE), (1, TRIPLE_NOTE)], ids=("seed-3", "seed-1"))
+    def test_unresolved_within_budget(self, flat11025, seed, note):
+        rep = classify(shifted_instance(flat11025, 2, seed), budget=1)
+        assert rep.branch == "unresolved" and not rep.resolved
+        assert rep.notes == (note,)
+        assert rep.t2_a is rep.t2_b is rep.standard_cross_check is None
+
+    def test_guard_sees_a_new_branch(self):
+        source = inspect.getsource(classify)
+        assert "unfibered-grid" in _classify_branches(source)
+        assert "fibered-triple-grid" in _classify_branches(source)
+        extended = source + '    certified("new-branch", t)\n'
+        assert _classify_branches(extended) == _classify_branches(source) | {"new-branch"}

@@ -8,6 +8,7 @@ The missing-top-difference fibering lemma lives here as a test-side check,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from cyclotile import (
     remove_fibers,
     standard_complement,
 )
-from cyclotile.structure import GridView, _fibered, _top_divisor_profile, grid_tensor
+from cyclotile.structure import _fibered, _top_divisor_profile, grid_tensor, unfibered_grids
 from cyclotile.tiling import div_set
-from tests_helpers import Inapplicable
+from tests_helpers import Inapplicable, grid_point
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def m900() -> Modulus:
 
 
 def grid_points(mod, coords_list):
-    gv = GridView(mod, 0)
-    return sorted(gv.from_coords(c) for c in coords_list)
+    return sorted(grid_point(mod, c) for c in coords_list)
 
 
 class TestGridFibering:
@@ -221,8 +221,9 @@ class TestIJK:
         part = ijk_partition(flat11025)
         support = frozenset(flat11025.a.support())
         assert part.sets[0] == part.sets[1] == part.sets[2] == support
-        assert part.covers_a and part.triple == support
-        assert part.flag_f and not part.flag_f1 and not part.flag_f2 and not part.flag_f3
+        assert part.triple == support
+        # assumption (F): every grid that A meets is fibered
+        assert not unfibered_grids(flat11025.a)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_matches_box_table(self, flat11025, k):
@@ -270,7 +271,87 @@ class TestIJK:
             ijk_partition(t)
 
 
+def _proper_subsets(p: int) -> list[tuple[int, ...]]:
+    """Nonempty proper subsets of Z_p as sorted tuples, in tuple order."""
+    return sorted(tuple(v for v in range(p) if mask >> v & 1) for mask in range(1, 2**p - 1))
+
+
+@lru_cache(maxsize=None)
+def _box_pair_masks(pj: int, pk: int) -> tuple[tuple, ...]:
+    """(J, K, cells of J x K, cells of J^c x K^c) for every J, then every K,
+    in order; a cell (j, k) is bit j*pk + k."""
+    cells = lambda js, ks: sum(1 << (j * pk + k) for j in js for k in ks)
+    out = []
+    for j_set in _proper_subsets(pj):
+        jc = [v for v in range(pj) if v not in j_set]
+        for k_set in _proper_subsets(pk):
+            kc = [v for v in range(pk) if v not in k_set]
+            out.append((j_set, k_set, cells(j_set, k_set), cells(jc, kc)))
+    return tuple(out)
+
+
+def _oracle_diagonal_boxes(occ: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
+    """The lexicographically least (I, J, K) with both boxes inside the
+    occupancy box, by trying every K for every I and J in order."""
+    pi, pj, pk = occ.shape
+    layer = [sum(1 << b for b in np.flatnonzero(occ[i]).tolist()) for i in range(pi)]
+    for i_set in _proper_subsets(pi):
+        allow = allow_c = (1 << (pj * pk)) - 1
+        for i in range(pi):
+            if i in i_set:
+                allow &= layer[i]
+            else:
+                allow_c &= layer[i]
+        for j_set, k_set, box, box_c in _box_pair_masks(pj, pk):
+            if not box & ~allow and not box_c & ~allow_c:
+                return i_set, j_set, k_set
+    return None
+
+
+def _seeded_box_unions(mod: Modulus, count: int, seed: int):
+    """Occupancy boxes of one grid: one to three box pairs I x J x K and
+    (mostly) their complements, with a few cells set or toggled; every fourth
+    a plain random box."""
+    rng = np.random.default_rng(seed)
+    shape = mod.prime_list
+    for n in range(count):
+        if n % 4 == 3:
+            yield rng.random(shape) < 0.7
+            continue
+        occ = np.zeros(shape, dtype=bool)
+        for _ in range(1 + n % 4):
+            sub = [rng.choice(p, size=int(rng.integers(1, p)), replace=False) for p in shape]
+            occ[np.ix_(*sub)] = True
+            if rng.random() < 0.8:
+                occ[np.ix_(*(np.setdiff1d(np.arange(p), s) for p, s in zip(shape, sub)))] = True
+        for _ in range(int(rng.integers(4))):
+            c = tuple(int(rng.integers(p)) for p in shape)
+            occ[c] = not occ[c] if rng.random() < 0.3 else True
+        yield occ
+
+
 class TestDiagonalBoxes:
+    @pytest.mark.parametrize("m,count", [(11025, 200), (27225, 24)])
+    def test_matches_exhaustive_oracle(self, m, count):
+        mod = Modulus.of(m)
+        found = 0
+        for occ in _seeded_box_unions(mod, count, seed=m):
+            a = Multiset.from_set(mod, [grid_point(mod, c) for c in np.argwhere(occ).tolist()])
+            f = detect_diagonal_boxes(a, 0)
+            got = (f.witness["i"], f.witness["j"], f.witness["k"]) if f.found else None
+            assert got == _oracle_diagonal_boxes(occ)
+            found += f.found
+        assert 0 < found < count
+
+    def test_beyond_the_old_enumeration_guard(self):
+        # (2^3 - 2)(2^7 - 2)(2^11 - 2) = 1,546,776 triples of subsets: the
+        # search runs over I and J only and reads K off directly.  With
+        # (0,0,0) and (1,1,1) missing, I = J = {0} forces 0 out of K and 1 in.
+        mod = Modulus.of((3 * 7 * 11) ** 2)
+        pts = [x for x in range(0, mod.m, mod.d_of_m) if x not in (0, grid_point(mod, (1, 1, 1)))]
+        f = detect_diagonal_boxes(Multiset.from_set(mod, pts), 0)
+        assert (f.witness["i"], f.witness["j"], f.witness["k"]) == ((0,), (0,), (1,))
+
     def test_constructed(self, m11025):
         pts = grid_points(
             m11025,
@@ -297,18 +378,16 @@ class TestDiagonalBoxes:
         a = Multiset.from_set(m11025, pts)
         f = detect_diagonal_boxes(a, 0)
         assert f.found
-        gv = GridView(m11025, 0)
         for i in f.witness["i"]:
             for j in f.witness["j"]:
                 for k in f.witness["k"]:
-                    assert gv.from_coords((i, j, k)) in a
+                    assert grid_point(m11025, (i, j, k)) in a
 
 
 class TestCorners:
     def _corner_set(self, mod):
-        gv = GridView(mod, 0)
-        a = gv.from_coords((0, 0, 0))
-        ai = gv.from_coords((1, 0, 0))
+        a = grid_point(mod, (0, 0, 0))
+        ai = grid_point(mod, (1, 0, 0))
         return Multiset.from_set(mod, sorted(set(mod.fiber(a, 1)) | set(mod.fiber(ai, 2))))
 
     def test_corner_found(self, m11025):
@@ -321,12 +400,11 @@ class TestCorners:
         assert not detect_extended_corner(flat11025.a, 0, 0).found
 
     def test_extended_with_two_fibers(self, m11025):
-        gv = GridView(m11025, 0)
         pts = set()
         for c in ((0, 0, 0), (0, 2, 3)):
-            pts |= set(m11025.fiber(gv.from_coords(c), 1))
+            pts |= set(m11025.fiber(grid_point(m11025, c), 1))
         for c in ((1, 0, 0), (1, 4, 0)):
-            pts |= set(m11025.fiber(gv.from_coords(c), 2))
+            pts |= set(m11025.fiber(grid_point(m11025, c), 2))
         a = Multiset.from_set(m11025, sorted(pts))
         assert detect_extended_corner(a, 0, 0).found
         assert not detect_corner(a, 0, 0).found
@@ -361,7 +439,6 @@ class TestClassifyUnfiberedGrid:
     def test_full_plane_profile(self, m11025):
         # boxes with |I^c| = |J| = |K| = 1, |K^c| > 1: misses exactly the two
         # pair divisors through direction i
-        gv = GridView(m11025, 0)
         pts = [(i, 0, 0) for i in (0, 1)] + [(2, j, k) for j in range(1, 5) for k in range(1, 7)]
         a = Multiset.from_set(m11025, grid_points(m11025, pts))
         # the witness grid restriction must itself divide Phi_M, so embed it
@@ -377,9 +454,8 @@ class TestClassifyUnfiberedGrid:
         assert f.direction == 0
 
     def test_corner_profile(self, m11025):
-        gv = GridView(m11025, 0)
-        pts = set(m11025.fiber(gv.from_coords((0, 0, 0)), 0))
-        pts |= set(m11025.fiber(gv.from_coords((0, 1, 1)), 1))
+        pts = set(m11025.fiber(grid_point(m11025, (0, 0, 0)), 0))
+        pts |= set(m11025.fiber(grid_point(m11025, (0, 1, 1)), 1))
         a0 = sorted(pts)
         rest = [x for x in range(1, 105)]
         full_elsewhere = [x + 105 * t for x in rest for t in range(105)]
@@ -412,9 +488,8 @@ class TestClassifyUnfiberedGrid:
         assert f.direction == 2
 
     def test_even_corner(self, m900):
-        gv = GridView(m900, 0)
-        pts = set(m900.fiber(gv.from_coords((0, 0, 0)), 0))  # 2-fiber
-        pts |= set(m900.fiber(gv.from_coords((0, 1, 1)), 1))  # 3-fiber
+        pts = set(m900.fiber(grid_point(m900, (0, 0, 0)), 0))  # 2-fiber
+        pts |= set(m900.fiber(grid_point(m900, (0, 1, 1)), 1))  # 3-fiber
         a0 = sorted(pts)
         rest = [x for x in range(1, 30)]
         full_elsewhere = [x + 30 * t for x in rest for t in range(30)]

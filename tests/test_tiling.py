@@ -83,7 +83,7 @@ def box_product(t: TilingInstance, x: int, y: int) -> Fraction:
 def saturating_set(t: TilingInstance, x: int, y: int | None = None) -> tuple[int, ...]:
     """A_x (or A_{x,y} for a fixed y): elements of A whose difference to x is
     matched in Div(B) (resp. realized at y)."""
-    if not t.is_tiling():
+    if not verify_direct(t):
         raise ValueError("saturating sets are defined for verified tilings")
     mod = t.modulus
     g = mod.gcd_table()
@@ -125,7 +125,7 @@ def check_bispan_bound(t: TilingInstance, x: int) -> bool:
     Terms with (x - a, m) = m (i.e. a = x) are skipped: the bound is only
     meaningful for proper differences.
     """
-    if not t.is_tiling():
+    if not verify_direct(t):
         raise ValueError("bispan bound is defined for verified tilings")
     mod = t.modulus
     sat = set(saturating_set(t, x))
