@@ -15,10 +15,21 @@ Phi_s | A.  (This is the unit-offset cuboid of Coven-Meyerowitz and the
 vanishing-sums framework of Lam-Leung.)  Each factor is one rotation and
 one subtraction of a length-s vector, at most three here.
 
-Exactness: after k differences every coefficient is bounded by
-2^k * max|fold_s(A)| <= 2^k * (m/s) * max|A|.  When that bound reaches 2^62
-the fold and the differences run on Python ints (object dtype) instead of
-int64, so an overflow cannot pass silently.
+One pass per multiset decides every s | m at once (`_divisor_spectrum`).
+The divisors run in descending order and each fold comes from the fold of
+a multiple: fold_s = fold_{sp}.reshape(p, s).sum(0) for a prime p with
+sp | m, so the length-m vector is folded once, not once per divisor.  The
+result is cached on the multiset (its `_spectrum` slot; multisets are
+immutable and their weights read-only).  `phi_divides`, `spectrum`, `s_a`,
+the (T1)/(T2) checks, `standard_complement_of` and, through `phi_divides`,
+the polynomial verifier all read it.
+
+Exactness: every fold is bounded by m * max|A|, and each of the at most
+r = (number of primes of m) differences doubles the bound, so every
+coefficient stays below m * max|A| * 2^r.  The guard tests that uniform
+bound once per multiset: when it reaches 2^62 the folds and the
+differences run on Python ints (object dtype) instead of int64, so an
+overflow cannot pass silently.
 """
 
 from __future__ import annotations
@@ -97,20 +108,41 @@ def _rotations(s: int) -> tuple[int, ...]:
     return tuple(s // p for p, _ in factorize(s))
 
 
+def _divisor_spectrum(a: Multiset) -> frozenset[int]:
+    """Every s | m with s > 1 and Phi_s | A, from one descending fold chain."""
+    mod = a.modulus
+    w = a.weights
+    # the module docstring's uniform exactness bound; past it, Python ints
+    if mod.m * max(int(w.max()), -int(w.min())) << mod.num_primes >= 2**62:
+        w = w.astype(object)
+    primes = mod.prime_list
+    folds = {mod.m: w}
+    out = []
+    for s in reversed(mod.divisors[1:]):
+        if s not in folds:
+            p = next(p for p in primes if s * p in folds)
+            folds[s] = folds[s * p].reshape(p, s).sum(axis=0)
+        f = folds[s]
+        for k in _rotations(s):
+            f = f - np.concatenate((f[-k:], f[:-k]))
+        if not f.any():
+            out.append(s)
+    return frozenset(out)
+
+
+def _divisors_of(a: Multiset) -> frozenset[int]:
+    """The cached spectrum of A, computed on first use."""
+    if a._spectrum is None:
+        a._spectrum = _divisor_spectrum(a)
+    return a._spectrum
+
+
 def phi_divides(s: int, a: Multiset) -> bool:
     """Exact test of Phi_s | A(X), for s | m with s > 1."""
     m = a.modulus.m
     if s <= 1 or m % s != 0:
         raise ValueError(f"s={s} must be a divisor > 1 of m={m}")
-    w = a.weights
-    rotations = _rotations(s)
-    # the module docstring's exactness bound; past it, Python ints
-    if (m // s) * max(int(w.max()), -int(w.min())) << len(rotations) >= 2**62:
-        w = w.astype(object)
-    f = w.reshape(m // s, s).sum(axis=0)
-    for k in rotations:
-        f = f - np.concatenate((f[-k:], f[:-k]))
-    return not f.any()
+    return s in _divisors_of(a)
 
 
 # -- spectra and the two tiling conditions ------------------------------------
@@ -138,23 +170,15 @@ def spectrum(a: Multiset) -> CycloSpectrum:
     """All s | m with s > 1 and Phi_s | A, plus the prime-power subset S_A."""
     if a.is_zero:
         raise ValueError("spectrum of the zero multiset is undefined")
-    mod = a.modulus
-    divs = frozenset(s for s in mod.divisors if s > 1 and phi_divides(s, a))
-    pps = frozenset(
-        s for s in divs if len(factorize(s)) == 1
-    )
-    return CycloSpectrum(mod, divs, pps)
+    return CycloSpectrum(a.modulus, _divisors_of(a), s_a(a))
 
 
 def s_a(a: Multiset) -> frozenset[int]:
     """S_A: prime powers s | m with Phi_s | A."""
-    mod = a.modulus
-    out = set()
-    for p, n in mod.primes:
-        for alpha in range(1, n + 1):
-            if phi_divides(p**alpha, a):
-                out.add(p**alpha)
-    return frozenset(out)
+    divs = _divisors_of(a)
+    return frozenset(
+        p**alpha for p, n in a.modulus.primes for alpha in range(1, n + 1) if p**alpha in divs
+    )
 
 
 def _distinct_prime_products(mod: Modulus, pps: frozenset[int], min_terms: int = 2):
@@ -191,11 +215,7 @@ def t2_check(a: Multiset) -> bool:
     """
     if not a.is_set:
         raise ValueError("(T2) is defined for sets")
-    pps = s_a(a)
-    for s in _distinct_prime_products(a.modulus, pps):
-        if not phi_divides(s, a):
-            return False
-    return True
+    return all(phi_divides(s, a) for s in _distinct_prime_products(a.modulus, s_a(a)))
 
 
 # -- standard tiling complements -----------------------------------------------
@@ -206,22 +226,24 @@ def standard_complement(mod: Modulus, families: tuple[frozenset[int] | set[int],
 
     families[nu] is the set of exponents alpha for which Phi_{p_nu^alpha} is to
     divide the result; the mask polynomial is the product of the geometric
-    factors 1 + X^{M_nu p^(alpha-1)} + ... + X^{(p-1) M_nu p^(alpha-1)}.
+    factors 1 + X^{M_nu p^(alpha-1)} + ... + X^{(p-1) M_nu p^(alpha-1)}, so
+    its points are the sums of one offset from each factor, built as one outer
+    sum.  A collision among those sums would make it a multiset, not a set.
     """
     if len(families) != mod.num_primes:
         raise ValueError("one exponent family per prime required")
-    out = Multiset.delta(mod, 0)
+    points = np.zeros(1, dtype=np.int64)
     for nu, fam in enumerate(families):
         p, n = mod.primes[nu]
         for alpha in sorted(fam):
             if not 1 <= alpha <= n:
                 raise ValueError(f"exponent {alpha} out of range for {p}^{n}")
             step = mod.m_nu(nu) * p ** (alpha - 1)
-            factor = Multiset.from_set(mod, [t * step for t in range(p)])
-            out = out.convolve(factor)
-    if not out.is_set:
+            points = (points[:, None] + step * np.arange(p)).ravel() % mod.m
+    weights = np.bincount(points, minlength=mod.m)
+    if weights.max() > 1:
         raise AssertionError("standard complement construction produced a multiset")
-    return out
+    return Multiset(mod, weights)
 
 
 def standard_complement_of(b: Multiset) -> Multiset:

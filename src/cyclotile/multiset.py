@@ -4,7 +4,11 @@ A multiset stores a dense integer weight vector indexed by group element;
 0/1 weights make it a set.  Negative weights are allowed: the difference of
 two mask polynomials is again a multiset here.
 
-Multisets are immutable; all operations return fresh objects.
+Multisets are immutable; all operations return fresh objects.  The weight
+vector is read-only, so a multiset caches what is derived from it: its hash,
+and its cyclotomic spectrum (the set of s | m with Phi_s | A), which
+`cyclotile.cyclo` computes in one pass on the first cyclotomic query and
+stores in the `_spectrum` slot.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .zm import Modulus
 class Multiset:
     """Integer weight function on Z_m; the mask polynomial sum w(x) X^x."""
 
-    __slots__ = ("modulus", "weights", "_hash")
+    __slots__ = ("modulus", "weights", "_hash", "_spectrum")
 
     def __init__(self, modulus: Modulus, weights: np.ndarray | Iterable[int]):
         w = np.asarray(weights, dtype=np.int64)
@@ -30,6 +34,7 @@ class Multiset:
         self.modulus = modulus
         self.weights = w
         self._hash: int | None = None
+        self._spectrum: frozenset[int] | None = None
 
     # -- constructors --------------------------------------------------------
 

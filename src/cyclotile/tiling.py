@@ -29,7 +29,7 @@ from .zm import Modulus
 
 @dataclass(frozen=True)
 class DivSet:
-    """Divisor set Div_N: gcds (a - a', N) realized by differences."""
+    """Divisor set Div(A): gcds (a - a', m) realized by differences, at scale m."""
 
     scale: int
     members: frozenset[int]
@@ -38,17 +38,14 @@ class DivSet:
         return d in self.members
 
 
-def div_set(a: Multiset, n_div: int | None = None) -> DivSet:
-    """Div_N(A) = {(a - a', N) : a, a' in A}."""
+def div_set(a: Multiset) -> DivSet:
+    """Div(A) = {(a - a', m) : a, a' in A}, read from the gcd table."""
     mod = a.modulus
-    n_div = mod.m if n_div is None else n_div
-    if mod.m % n_div != 0:
-        raise ValueError(f"{n_div} does not divide m={mod.m}")
     sup = np.flatnonzero(a.weights)
-    diffs = (sup[:, None] - sup[None, :]).ravel() % n_div
-    gcds = np.gcd(diffs, n_div)
-    gcds[diffs == 0] = n_div
-    return DivSet(n_div, frozenset(int(g) for g in np.unique(gcds)))
+    # a negative difference -x indexes m - x, and (m - x, m) = (x, m)
+    seen = np.zeros(mod.m + 1, dtype=bool)
+    seen[mod.gcd_table()[sup[:, None] - sup[None, :]]] = True
+    return DivSet(mod.m, frozenset(np.flatnonzero(seen).tolist()))
 
 
 class TilingInstance:

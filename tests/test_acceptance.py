@@ -403,9 +403,8 @@ def test_criterion_1_verifier_equivalence():
                 if sorted(t_set) != sorted(s_set):
                     failures += 1
                     continue
-                needed = np.array(
-                    [not phi_divides(s, Multiset.from_set(mod, a)) for s in checker.divs]
-                )
+                ma = Multiset.from_set(mod, a)
+                needed = np.array([not phi_divides(s, ma) for s in checker.divs])
                 if enumerable_p:
                     groups, keys = group_cache[comp]
                     p_set: list[tuple[int, ...]] = []

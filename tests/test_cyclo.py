@@ -1,20 +1,27 @@
 """Cyclotomic polynomials, divisibility, spectra, the two tiling conditions,
 standard complements, and the two-prime fiber decomposition.
 
-Two independent routes to Phi_s | A live here as oracles for `phi_divides`:
-long division by Phi_s, and, for two-prime s and nonnegative weights,
-peeling A mod s into s-fibers (`decompose_two_prime`).
+Three independent routes to Phi_s | A live here as oracles for the cached
+one-pass spectrum behind `phi_divides`: the per-divisor difference operator
+(one full fold per s, its own overflow guard per s), long division by Phi_s,
+and, for two-prime s and nonnegative weights, peeling A mod s into s-fibers
+(`decompose_two_prime`).  The product-by-convolution construction is the
+oracle for `standard_complement`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cyclotile.cyclo as cyclo
 from cyclotile import (
     Modulus,
     Multiset,
+    TilingInstance,
     cyclotomic,
     phi_divides,
     s_a,
@@ -23,8 +30,57 @@ from cyclotile import (
     standard_complement_of,
     t1_check,
     t2_check,
+    verify_direct,
+    verify_poly,
+    verify_sands,
 )
 from conftest import T2_FAILING_225
+from tests_helpers import shifted_instance
+
+
+def phi_divides_per_s(s: int, weights: np.ndarray) -> np.ndarray:
+    """Phi_s | A for each row of `weights` (shape (..., m)), one fold per s.
+
+    The difference operator of the `cyclo` module docstring applied to one
+    divisor at a time, with its own per-s exactness bound: after k
+    differences every coefficient is at most 2^k * (m/s) * max|A|, and past
+    2^62 the fold runs on Python ints.
+    """
+    w = np.asarray(weights)
+    m = w.shape[-1]
+    rotations = [s // p for p in Modulus.of(s).prime_list]
+    if (m // s) * max(int(w.max()), -int(w.min())) << len(rotations) >= 2**62:
+        w = w.astype(object)
+    f = w.reshape(*w.shape[:-1], m // s, s).sum(axis=-2)
+    for k in rotations:
+        f = f - np.concatenate((f[..., -k:], f[..., :-k]), axis=-1)
+    return ~f.any(axis=-1)
+
+
+def spectrum_per_s(a: Multiset) -> frozenset[int]:
+    return frozenset(
+        s for s in a.modulus.divisors[1:] if phi_divides_per_s(s, a.weights)
+    )
+
+
+def standard_complement_by_convolution(mod: Modulus, families) -> Multiset:
+    """The product of the geometric factors, one dense convolution per factor."""
+    out = Multiset.delta(mod, 0)
+    for nu, fam in enumerate(families):
+        p, _ = mod.primes[nu]
+        for alpha in sorted(fam):
+            step = mod.m_nu(nu) * p ** (alpha - 1)
+            out = out.convolve(Multiset.from_set(mod, [t * step for t in range(p)]))
+    return out
+
+
+def all_families(mod: Modulus):
+    """Every tuple of exponent families, one subset of 1..n_nu per prime."""
+    per_prime = [
+        [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+        for _, n in mod.primes
+    ]
+    return itertools.product(*per_prime)
 
 
 def poly_remainder_oracle(weights, s: int) -> bool:
@@ -175,6 +231,112 @@ class TestPhiDivides:
                     assert phi_divides(s, red)
 
 
+class TestOnePassSpectrum:
+    """The cached one-pass spectrum against the per-divisor difference operator."""
+
+    @pytest.mark.parametrize("m", [12, 18])
+    def test_every_subset(self, m):
+        mod = Modulus.of(m)
+        divs = mod.divisors[1:]
+        rows = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+        expect = np.stack([phi_divides_per_s(s, rows) for s in divs], axis=1).tolist()
+        for i, row in enumerate(rows):
+            a = Multiset(mod, row)
+            assert [phi_divides(s, a) for s in divs] == expect[i], (m, i)
+
+    @pytest.mark.parametrize(
+        "m, trials", [(36, 300), (72, 200), (225, 200), (315, 150), (11025, 30)]
+    )
+    def test_seeded_signed_multisets(self, m, trials):
+        mod = Modulus.of(m)
+        rng = np.random.default_rng([m, 13])
+        fibers = [Multiset.fiber(mod, nu) for nu in range(mod.num_primes)]
+        verdicts = set()
+        for trial in range(trials):
+            w = np.zeros(m, dtype=np.int64)
+            support = rng.choice(m, size=int(rng.integers(1, min(m, 40))), replace=False)
+            w[support] = rng.integers(-3, 4, size=support.size)
+            a = Multiset(mod, w)
+            # times an M-fiber, every Phi_s with p_nu^n_nu | s divides
+            for b in (a, a.convolve(fibers[trial % len(fibers)])):
+                got = frozenset(s for s in mod.divisors[1:] if phi_divides(s, b))
+                assert got == spectrum_per_s(b), (m, trial)
+                verdicts.update(s in got for s in mod.divisors[1:])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "m, pairs",
+        [
+            # int64 differences wrap to zero at s = 6 in Z_36
+            (36, [(x, 2**62 * g) for x, g in enumerate((1, 1, 1, -1, -1, -1))]),
+            (36, [(0, 2**62), (7, -(2**62)), (18, 2**62)]),
+            # np.abs(-2^63) stays negative in int64
+            (4, [(0, -(2**63)), (2, -(2**63))]),
+            (12, [(0, -(2**63)), (6, 2**63 - 1)]),
+        ],
+    )
+    def test_overflow_examples(self, m, pairs):
+        mod = Modulus.of(m)
+        a = Multiset.from_pairs(mod, pairs)
+        assert spectrum_per_s(a) == frozenset(
+            s for s in mod.divisors[1:] if phi_divides(s, a)
+        )
+        for s in mod.divisors[1:]:
+            folded = [sum(int(w) for w in a.weights[r::s]) for r in range(s)]
+            assert phi_divides(s, a) == poly_remainder_oracle(folded, s)
+
+
+class TestSpectrumCache:
+    """The kernel runs once per multiset; counted, not timed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        seen: list[Multiset] = []
+        kernel = cyclo._divisor_spectrum
+
+        def counted(a):
+            seen.append(a)
+            return kernel(a)
+
+        monkeypatch.setattr(cyclo, "_divisor_spectrum", counted)
+        return seen
+
+    def test_certify_bundle_once_per_multiset(self, flat11025, evaluations):
+        shifted = shifted_instance(flat11025, 2, seed=5)
+        mod = shifted.modulus
+        # fresh objects, as the certification workload builds them
+        t = TilingInstance.from_sets(mod, shifted.a.elements(), shifted.b.elements())
+        evaluations.clear()
+        flat = standard_complement_of(t.b)
+        verdicts = [
+            verify_direct(t),
+            verify_poly(t),
+            verify_sands(t),
+            spectrum(t.a).divisors,
+            spectrum(t.b).divisors,
+            t1_check(t.a),
+            t1_check(t.b),
+            t2_check(t.a),
+            t2_check(t.b),
+            verify_direct(TilingInstance(mod, flat, t.b)),
+        ]
+        assert all(verdicts)
+        assert len(evaluations) == 2
+        assert {id(a) for a in evaluations} == {id(t.a), id(t.b)}
+
+    def test_second_query_reads_the_cache(self, m11025, evaluations):
+        a = Multiset.from_set(m11025, range(0, 11025, 105))
+        assert phi_divides(11025, a)
+        assert not phi_divides(3, a)
+        assert evaluations == [a]
+
+    def test_weights_are_read_only(self, m12):
+        a = Multiset.from_set(m12, [0, 6])
+        with pytest.raises(ValueError):
+            a.weights[1] = 1
+        assert phi_divides(12, a)
+
+
 class TestSpectrum:
     def test_full_group(self, m12):
         sp = spectrum(Multiset.full(m12))
@@ -264,6 +426,13 @@ class TestStandardComplement:
                 for alpha in fam
             }
             assert got == frozenset(expect)
+
+    @pytest.mark.parametrize("m", [36, 225, 11025])
+    def test_matches_convolution(self, m):
+        mod = Modulus.of(m)
+        for fams in all_families(mod):
+            expect = standard_complement_by_convolution(mod, fams)
+            assert standard_complement(mod, fams) == expect, fams
 
     def test_out_of_range_exponent(self, m225):
         with pytest.raises(ValueError):

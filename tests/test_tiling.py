@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -223,6 +224,25 @@ class TestDivSets:
         b = Multiset.from_set(m4, [0, 1])
         assert div_set(a).members == {4, 2}
         assert div_set(b).members == {4, 1}
+
+    @pytest.mark.parametrize("m", [12, 36, 225, 11025])
+    def test_matches_set_definition(self, m):
+        # Div(A) = {(a - a', m)}, with (0, m) = m
+        mod = Modulus.of(m)
+        rng = np.random.default_rng([m, 7])
+        sizes = [1, 1, 2, 3, *rng.integers(1, min(m, 120), size=20)]
+        if m <= 225:
+            sizes += [m // 2, m]
+        sets = [rng.choice(m, size=int(size), replace=False).tolist() for size in sizes]
+        # cosets of subgroups (few divisors), and each with a point off it
+        for d in mod.divisors[1:]:
+            if m // d <= 120:
+                coset = list(range(d % 7, m, d))
+                sets += [coset, coset + [d % 7 + d // 2]]
+        for a in sets:
+            expect = {gcd(x - y, m) for x in a for y in a}
+            got = div_set(Multiset.from_set(mod, a))
+            assert got.members == expect and got.scale == m, (m, a)
 
 
 class TestBoxes:
