@@ -6,9 +6,9 @@ two mask polynomials is again a multiset here.
 
 Multisets are immutable; all operations return fresh objects.  The weight
 vector is read-only, so a multiset caches what is derived from it: its hash,
-and its cyclotomic spectrum (the set of s | m with Phi_s | A), which
-`cyclotile.cyclo` computes in one pass on the first cyclotomic query and
-stores in the `_spectrum` slot.
+whether it is a set, and its cyclotomic spectrum (the set of s | m with
+Phi_s | A), which `cyclotile.cyclo` computes in one pass on the first
+cyclotomic query and stores in the `_spectrum` slot.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .zm import Modulus
 class Multiset:
     """Integer weight function on Z_m; the mask polynomial sum w(x) X^x."""
 
-    __slots__ = ("modulus", "weights", "_hash", "_spectrum")
+    __slots__ = ("modulus", "weights", "_hash", "_is_set", "_spectrum")
 
     def __init__(self, modulus: Modulus, weights: np.ndarray | Iterable[int]):
         w = np.asarray(weights, dtype=np.int64)
@@ -34,6 +34,7 @@ class Multiset:
         self.modulus = modulus
         self.weights = w
         self._hash: int | None = None
+        self._is_set: bool | None = None
         self._spectrum: frozenset[int] | None = None
 
     # -- constructors --------------------------------------------------------
@@ -80,7 +81,9 @@ class Multiset:
 
     @property
     def is_set(self) -> bool:
-        return bool(np.all((self.weights == 0) | (self.weights == 1)))
+        if self._is_set is None:
+            self._is_set = bool(np.all((self.weights == 0) | (self.weights == 1)))
+        return self._is_set
 
     @property
     def is_zero(self) -> bool:

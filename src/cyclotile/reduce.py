@@ -5,13 +5,15 @@ direction, plus a whole M-fiber of A in that direction) licenses moving that
 fiber by a distance of M/p^2 without breaking the tiling or changing the
 prime-power cyclotomic divisors.  The reduction engine searches over such
 moves for a chain that turns A into a top-scale grid.  Its state is the
-support of A.  Moves are legal by construction: roots are the full fibers
-(`fiber_roots`) and targets sit at M/p^2, so only a collision with A is
-tested.  All moves of a state are scored at once as arrays over roots and
-targets, from the per-grid counts bincount(A mod D(M)) (a move changes the
-counts at two grids); a successor's support is built only when the search
-reads its move, and a move that reaches a grid ends the search before any
-other successor is built.  The classifier dispatches tilings of odd
+support of A as a sorted int64 array.  Moves are legal by construction:
+roots are the full fibers and targets sit at M/p^2, so only a collision with
+A is tested.  All moves of a state are scored at once as arrays over roots
+and targets, from the per-grid counts bincount(A mod D(M)) (a move changes
+the counts at two grids) and two lookups over target - x built once per
+search.  A move that reaches a grid ends the search before any successor is
+built; otherwise all successors of the state are built as rows and keyed by
+their least translates in one call of the batched kernel
+`search.least_translates`.  The classifier dispatches tilings of odd
 3-prime square moduli through the structure detectors and reduction
 predicates, attaching machine-checked certificates to every branch it
 claims.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import cyclo
 from .multiset import Multiset
-from .search import _canonical_translate
+from .search import least_translates
 from .structure import (
     classify_unfibered_grid,
     ijk_partition,
@@ -140,86 +142,104 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
 
     Move priority prefers shifts whose target's saturating set lies on a
     single line through the target (the cofiber signature) and targets on the
-    fullest grid.  Each expanded state scores all its moves at once as arrays
-    (`_scored_moves`); a successor's support is built only when the loop
-    reads the move.  A grid is never in `seen`: grid-ness is translation
-    invariant, the start is not a grid, and the search returns on the first
-    grid it adds.  So when a state has a move to a grid, the first such move
-    in sort order is the answer, and the search returns it before computing
-    any least translate for that state.  Returns a fully re-verified trace,
-    or None when the budget is exhausted (grids unreachable for slab-type
-    instances).
+    fullest grid.  A state is the sorted int64 array of A's support.  Each
+    expanded state scores all its moves at once as arrays (`_scored_moves`),
+    builds all its successors as rows (`_successors`) and keys them by
+    their least translates in one `least_translates` call; the walk over the
+    sorted moves then pushes each successor whose key is new.  A grid is
+    never in `seen`: grid-ness is translation invariant, the start is not a
+    grid, and the search returns on the first grid it adds.  So when a state
+    has a move to a grid, the first such move in sort order is the answer,
+    and the search returns it before building any successor of that state.
+    Returns a fully re-verified trace, or None when the budget is exhausted
+    (grids unreachable for slab-type instances).
     """
     if not verify_direct(t):
         raise ValueError("reduction requires a verified tiling")
     mod = t.modulus
     m, d = mod.m, mod.d_of_m
-    start = frozenset(t.a.support())
-    start_max = int(np.bincount(np.fromiter(start, dtype=np.int64) % d, minlength=d).max())
+    start = np.flatnonzero(t.a.weights)
+    start_max = int(np.bincount(start % d, minlength=d).max())
     if start_max == len(start) == m // d:
         return _build_trace(t, ())
 
-    in_div_b = np.zeros(m + 1, dtype=bool)
-    in_div_b[list(t.div_b())] = True
-    # Fixed by the start: a direction where A has no full fiber stays out.
-    cofiber_dirs = [nu for nu in range(mod.num_primes) if detect_cofibered(t, nu)]
-
-    seen = {_canonical_translate(start, m)}
+    sat, off_line = _shift_tables(t)
+    seen = {least_translates(start[None], m)[0].tobytes()}
     heap = [(-start_max, 0, start, ())]
     counter = 0
     expanded = 0
     while heap and expanded < budget:
-        _, _, support, path = heapq.heappop(heap)
+        _, _, sup, path = heapq.heappop(heap)
         expanded += 1
-        moves, grid_move = _scored_moves(mod, support, cofiber_dirs, in_div_b)
+        moves, grid_move = _scored_moves(mod, sup, sat, off_line)
         if grid_move is not None:
             return _build_trace(t, path + (ShiftMove(*grid_move[1:]),))
-        for score, nu, root, target in moves:
-            step = m // mod.primes[nu][0]
-            nxt = support.difference(range(root, m, step)).union(range(target % step, m, step))
-            key = _canonical_translate(nxt, m)
+        succ = _successors(mod, sup, moves)
+        keys = least_translates(succ, m)
+        for i, (score, nu, root, target) in enumerate(moves.tolist()):
+            key = keys[i].tobytes()
             if key in seen:
                 continue
             seen.add(key)
             counter += 1
-            heapq.heappush(heap, (score, counter, nxt, path + (ShiftMove(nu, root, target),)))
+            heapq.heappush(heap, (score, counter, succ[i].copy(), path + (ShiftMove(nu, root, target),)))
     return None
 
 
-def _scored_moves(
-    mod: Modulus, support: frozenset[int], dirs: list[int], in_div_b: np.ndarray
-) -> tuple[list[tuple[int, int, int, int]], tuple[int, int, int, int] | None]:
-    """Every fiber-shift move of a state as `(score, direction, root, target)`,
-    sorted, and the first of them that makes A a D(M)-grid (or None).
+def _shift_tables(t: TilingInstance) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The lookups the shift search fixes from its start, indexed by
+    target - x in (-m, m) for a target and a point x of A: whether x
+    saturates the target ((target - x, M) lies in Div(B)), and, for each
+    direction where A has a full fiber (`detect_cofibered`), whether x
+    saturates it off the line through the target.  A direction where A has
+    no full fiber at the start stays out of the search.  A negative index
+    -y reads entry m - y, which is right for both: (m - y, M) = (y, M), and
+    M_nu divides M, so m - y and -y lie on the same lines."""
+    mod = t.modulus
+    in_div_b = np.zeros(mod.m + 1, dtype=bool)
+    in_div_b[list(t.div_b())] = True
+    sat = in_div_b[mod.gcd_table()]
+    off_line = {
+        nu: sat & (np.arange(mod.m) % mod.m_nu(nu) != 0)
+        for nu in range(mod.num_primes)
+        if detect_cofibered(t, nu)
+    }
+    return sat, off_line
 
-    Roots are the full fibers in each direction of `dirs`, and targets sit at
-    r + u*M/p^2 for u a unit mod p^2.  The target fiber lies in another class
-    mod M/p than the root fiber, so it is vacant when that class is empty in
-    the support.  A move takes p points from grid r mod D to grid t mod D,
+
+def _scored_moves(
+    mod: Modulus, sup: np.ndarray, sat: np.ndarray, off_line: dict[int, np.ndarray]
+) -> tuple[np.ndarray, tuple[int, int, int, int] | None]:
+    """Every fiber-shift move of a state as the rows `(score, direction,
+    root, target)` of a K x 4 int64 array, sorted, and the first of them
+    that makes A a D(M)-grid (or None).
+
+    `sup` is the sorted support of A; `sat` and `off_line` are the lookups of
+    `_shift_tables`, one table of `off_line` per direction searched.  Roots
+    are the full fibers in each direction, and targets sit at r + u*M/p^2
+    for u a unit mod p^2.  The target fiber lies in another class mod M/p
+    than the root fiber, so it is vacant when that class is empty in the
+    support.  A move takes p points from grid r mod D to grid t mod D,
     another grid, since p divides D but not t - r = u*M/p^2 (p has exponent
-    2 in M).  Its score is minus the largest grid count it leaves, less M when the
-    target's saturating set lies on one line through the target (the
-    lemma-backed move).  The largest count is read from the two largest
-    counts of the state, so no per-move counts are built.
+    2 in M).  Its score is minus the largest grid count it leaves, less M
+    when the target's saturating set is nonempty and lies on one line
+    through the target (the lemma-backed move).  The largest count is read
+    from the two largest counts of the state, so no per-move counts are
+    built.
     """
     m, d = mod.m, mod.d_of_m
-    sup = np.fromiter(support, dtype=np.int64)
     counts = np.bincount(sup % d, minlength=d)
     best = int(counts.argmax())
     runner_up = max(np.delete(counts, best).tolist(), default=0)
-    gcd_tab = mod.gcd_table()
-    occupied = Multiset.from_set(mod, support)
-    moves: list[tuple[int, int, int, int]] = []
-    grids: list[tuple[int, int, int, int]] = []
-    for nu in dirs:
+    blocks, full = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=bool)]
+    for nu, off in off_line.items():
         p = mod.primes[nu][0]
-        step, dist, line_step = m // p, m // p**2, mod.m_nu(nu)
+        step, dist = m // p, m // p**2
         units = np.array([u for u in range(1, p * p) if u % p], dtype=np.int64)
-        roots = occupied.fiber_roots(nu).astype(np.int64)
+        per_class = np.bincount(sup % step, minlength=step)
+        roots = np.flatnonzero(per_class == p)
         targets = (roots[:, None] + units * dist) % m
-        touched = np.zeros(step, dtype=bool)
-        touched[sup % step] = True
-        vacant = ~touched[targets % step]
+        vacant = per_class[targets % step] == 0
         r = np.broadcast_to(roots[:, None], targets.shape)[vacant]
         tg = targets[vacant]
         rc, tc = r % d, tg % d
@@ -227,15 +247,38 @@ def _scored_moves(
         # count there is the state's own.
         off_root = np.where(rc == best, runner_up, counts[best])
         new_max = np.maximum.reduce([counts[tc] + p, counts[rc] - p, off_root])
-        diff = (tg[:, None] - sup) % m
-        sat = in_div_b[gcd_tab[diff]]
-        lemma = sat.any(axis=1) & ((diff % line_step == 0) | ~sat).all(axis=1)
-        rows = list(zip((-new_max - m * lemma).tolist(), [nu] * len(tg), r.tolist(), tg.tolist()))
-        moves += rows
-        if len(sup) == m // d:
-            grids += [row for row, full in zip(rows, (new_max == len(sup)).tolist()) if full]
-    moves.sort()
-    return moves, min(grids, default=None)
+        diff = tg[:, None] - sup
+        lemma = sat[diff].any(axis=1) & ~off[diff].any(axis=1)
+        blocks.append(np.stack([-new_max - m * lemma, np.full_like(tg, nu), r, tg], axis=1))
+        full.append(new_max == len(sup))
+    moves = np.concatenate(blocks)
+    order = np.lexsort(moves.T[::-1])
+    moves = moves[order]
+    grids = np.flatnonzero(np.concatenate(full)[order]) if len(sup) == m // d else []
+    return moves, tuple(moves[grids[0]].tolist()) if len(grids) else None
+
+
+def _successors(mod: Modulus, sup: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The support after each move, one sorted row per row of `moves`: the
+    root fiber dropped, the target fiber added.  A root is a full fiber of
+    A, so each row drops exactly p points."""
+    m, n = mod.m, len(sup)
+    out = np.empty((len(moves), n), dtype=np.int64)
+    for nu in np.unique(moves[:, 1]).tolist():
+        p = mod.primes[nu][0]
+        step = m // p
+        sel = np.flatnonzero(moves[:, 1] == nu)
+        keep = sup % step != moves[sel, 2:3]
+        rows = np.concatenate(
+            [
+                np.broadcast_to(sup, keep.shape)[keep].reshape(len(sel), n - p),
+                moves[sel, 3:4] % step + np.arange(p) * step,
+            ],
+            axis=1,
+        )
+        rows.sort(axis=1)
+        out[sel] = rows
+    return out
 
 
 def _build_trace(t: TilingInstance, moves: tuple[ShiftMove, ...]) -> ReductionTrace:
@@ -293,11 +336,12 @@ def slab_extract(t: TilingInstance, nu: int) -> list[TilingInstance]:
     p, n = mod.primes[nu]
     sub = Modulus.of(mod.m // p)
     b_red = t.b.reduce_mod(sub.m)
+    sup = np.flatnonzero(t.a.weights)
     out = []
     for shift in range(p**n):
-        translated = t.a.translate(shift * mod.m_nu(nu))
-        kept = [a for a in translated.support() if mod.array_coords(a)[nu] < p ** (n - 1)]
-        out.append(TilingInstance(sub, Multiset.from_pairs(sub, [(a, 1) for a in kept]), b_red))
+        x = (sup + shift * mod.m_nu(nu)) % mod.m
+        kept = x[mod.coord(x, nu) < p ** (n - 1)]
+        out.append(TilingInstance(sub, Multiset(sub, np.bincount(kept % sub.m, minlength=sub.m)), b_red))
     return out
 
 

@@ -233,14 +233,14 @@ class Modulus:
             units.append(pow(self.m_nu(nu) % q, -1, q))
         return tuple(units)
 
+    def coord(self, x, nu: int):
+        """pi_nu(x) of an integer, or of each entry of an integer array."""
+        q = self.prime_power(nu)
+        return (x % q) * self._coord_units()[nu] % q
+
     def array_coords(self, x: int) -> tuple[int, ...]:
         """CRT coordinates (pi_nu(x)) with x = sum pi_nu(x) * M_nu mod m."""
-        x %= self.m
-        units = self._coord_units()
-        return tuple(
-            (x % self.prime_power(nu)) * units[nu] % self.prime_power(nu)
-            for nu in range(self.num_primes)
-        )
+        return tuple(self.coord(x, nu) for nu in range(self.num_primes))
 
     def from_coords(self, coords: tuple[int, ...] | list[int]) -> int:
         if len(coords) != self.num_primes:

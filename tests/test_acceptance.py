@@ -20,7 +20,7 @@ Scale notes (documented deviations live in the repo's decision ledger):
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -50,7 +50,7 @@ from cyclotile import (
     verify_sands,
 )
 from cyclotile.reduce import slab_instances_verify
-from cyclotile.search import _canonical_translate, _structured_candidates
+from cyclotile.search import _structured_candidates, least_translates
 from cyclotile.structure import classify_unfibered_grid, plane_bound_check
 from cyclotile.tiling import box_product_sweep_is_one, div_set
 
@@ -394,10 +394,10 @@ def test_criterion_1_verifier_equivalence():
             enumerable_p = comb(m - 1, comp - 1) <= 400_000
             if enumerable_p and comp not in group_cache:
                 group_cache[comp] = _spectrum_groups(mod, comp, checker)
-            for rest in combinations(range(1, m), d - 1):
-                a = (0, *rest)
-                if _canonical_translate(a, m) != a:
-                    continue
+            count = comb(m - 1, d - 1)
+            rest = np.fromiter(chain.from_iterable(combinations(range(1, m), d - 1)), dtype=np.int64)
+            cands = np.column_stack([np.zeros(count, dtype=np.int64), rest.reshape(count, d - 1)])
+            for a in map(tuple, cands[(least_translates(cands, m) == cands).all(axis=1)].tolist()):
                 t_set = find_complements(a, mod, use_pruning=False)
                 s_set = _sands_accepted(a, mod)
                 if sorted(t_set) != sorted(s_set):

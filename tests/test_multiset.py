@@ -37,6 +37,24 @@ class TestConstruction:
         a = Multiset.from_pairs(m12, [(0, -1)])
         assert a.total == -1
 
+    @pytest.mark.parametrize("m", [12, 36, 11025])
+    def test_is_set_cached_value_matches_a_fresh_scan(self, m):
+        mod = Modulus.of(m)
+        rng = np.random.default_rng(m)
+        for weights in (
+            np.zeros(m, dtype=np.int64),
+            rng.integers(0, 2, m),
+            rng.integers(-1, 2, m),
+            np.where(np.arange(m) == m - 1, 2, rng.integers(0, 2, m)),
+        ):
+            a = Multiset(mod, weights)
+            fresh = bool(np.all((weights == 0) | (weights == 1)))
+            assert a.is_set == fresh and a._is_set == fresh
+            assert a.is_set == fresh  # the second read comes from the slot
+            with pytest.raises(ValueError):
+                a.weights[0] = 2
+            assert a.is_set == fresh
+
 
 class TestAlgebra:
     def test_identity_element(self, m12):

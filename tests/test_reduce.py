@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import heapq
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +172,13 @@ class TestReduceToGrid:
         d = tr.final.modulus.d_of_m
         assert len({x % d for x in tr.final.a.elements()}) == 1
 
+    def test_no_cofibered_direction(self, flat225):
+        # B = 15*Z_225 is fibered at M/p in no direction, so no move is
+        # licensed and the search ends with an empty frontier.
+        t = flat225.transpose()
+        assert not any(detect_cofibered(t, nu) for nu in range(2))
+        assert reduce_to_grid(t) is None
+
     def test_unverified_rejected(self, m4):
         with pytest.raises(ValueError):
             reduce_to_grid(TilingInstance.from_sets(m4, [0, 1], [0, 1]))
@@ -181,11 +190,61 @@ class TestReduceToGrid:
         got = None if tr is None else tuple((mv.direction, mv.root, mv.target) for mv in tr.moves)
         assert got == GOLDEN_MOVES[case]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_one_kernel_call_per_expanded_state(self, flat11025, monkeypatch, seed):
+        """The search keys its start and then all successors of each state
+        it expands in one least_translates call each, never one call per
+        successor.  The state whose move reaches a grid returns before
+        building any successor."""
+        calls, expanded = [], []
+        real_kernel, real_scored = reduce_mod.least_translates, reduce_mod._scored_moves
+
+        def kernel(rows, m):
+            calls.append(len(rows))
+            return real_kernel(rows, m)
+
+        def scored(*args):
+            out = real_scored(*args)
+            expanded.append(out)
+            return out
+
+        monkeypatch.setattr(reduce_mod, "least_translates", kernel)
+        monkeypatch.setattr(reduce_mod, "_scored_moves", scored)
+        assert reduce_to_grid(shifted_instance(flat11025, 2, seed)) is not None
+        keyed = [len(moves) for moves, grid_move in expanded if grid_move is None]
+        assert expanded[-1][1] is not None
+        assert calls == [1, *keyed]
+        assert sum(keyed) > len(keyed)
+
+    @pytest.mark.parametrize("k,seed", [(2, 1), (3, 2)])
+    def test_one_push_per_translate_class(self, flat11025, monkeypatch, k, seed):
+        """A successor is pushed exactly when no translate of it (nor of the
+        start) was pushed before: one push per class of keys the search met."""
+        keys, pushed = [], []
+        real_kernel = reduce_mod.least_translates
+
+        def kernel(rows, m):
+            out = real_kernel(rows, m)
+            keys.extend(map(tuple, out.tolist()))
+            return out
+
+        def push(heap, item):
+            pushed.append(item[2])
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(reduce_mod, "least_translates", kernel)
+        monkeypatch.setattr(reduce_mod, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+        reduce_to_grid(shifted_instance(flat11025, k, seed))
+        classes = {tuple(row) for row in real_kernel(np.array(pushed), 11025).tolist()}
+        assert len(classes) == len(pushed) == len(set(keys)) - 1
+        assert keys[0] not in classes
+
 
 def _assert_matches_oracle(t: TilingInstance, support: frozenset[int], scored) -> None:
     moves, grid_move = scored
     expected = oracle_scored_moves(t, support)
-    assert moves == [mv[:4] for mv in expected]
+    assert moves.dtype == np.int64 and moves.shape == (len(expected), 4)
+    assert [tuple(mv) for mv in moves.tolist()] == [mv[:4] for mv in expected]
     grids = [mv[:4] for mv in expected if mv[4]]
     assert grid_move == (grids[0] if grids else None)
 
@@ -198,9 +257,9 @@ class TestScoredMoves:
         popped = []
         real = reduce_mod._scored_moves
 
-        def spy(mod, support, dirs, in_div_b):
-            out = real(mod, support, dirs, in_div_b)
-            popped.append((support, out))
+        def spy(mod, sup, sat, off_line):
+            out = real(mod, sup, sat, off_line)
+            popped.append((frozenset(sup.tolist()), out))
             return out
 
         monkeypatch.setattr(reduce_mod, "_scored_moves", spy)
@@ -228,7 +287,7 @@ class TestScoredMoves:
         t = request.getfixturevalue(flat)
         mod = t.modulus
         m, d = mod.m, mod.d_of_m
-        dirs, in_div_b = _search_context(t)
+        tables = reduce_mod._shift_tables(t)
         rng = np.random.default_rng(m)
         for _ in range(30):
             classes = rng.choice(d, size=3, replace=False)
@@ -239,9 +298,8 @@ class TestScoredMoves:
                 root = int(rng.choice(classes)) + d * int(rng.integers(step // d))
                 support.update(range(root, m, step))
             support = frozenset(support)
-            _assert_matches_oracle(
-                t, support, reduce_mod._scored_moves(mod, support, dirs, in_div_b)
-            )
+            sup = np.array(sorted(support), dtype=np.int64)
+            _assert_matches_oracle(t, support, reduce_mod._scored_moves(mod, sup, *tables))
 
 
 class TestSubgroupAndSlab:

@@ -21,13 +21,31 @@ from cyclotile import (
     verify_sands,
 )
 import cyclotile.reduce as reduce_mod
-from cyclotile.search import _canonical_translate
+from cyclotile.search import least_translates
 from tests_helpers import shifted_instance
 
 
 def least_translate_oracle(a, m: int) -> tuple[int, ...]:
     """The least of the sorted translates of A that start at 0."""
     return min((tuple(sorted((x - t) % m for x in a)) for t in a), default=())
+
+
+def assert_kernel_matches_oracle(sets, m: int) -> list[tuple[int, ...]]:
+    """least_translates against the oracle row by row, one kernel call per
+    set size; returns the kernel's rows in the order of `sets`."""
+    rows = [sorted(x % m for x in a) for a in sets]
+    by_size: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_size.setdefault(len(row), []).append(i)
+    got: list[tuple[int, ...]] = [()] * len(rows)
+    for n, idx in by_size.items():
+        batch = np.array([rows[i] for i in idx], dtype=np.int64).reshape(len(idx), n)
+        out = least_translates(batch, m)
+        assert out.shape == batch.shape and out.dtype == np.int64
+        for i, key in zip(idx, out.tolist()):
+            got[i] = tuple(key)
+            assert got[i] == least_translate_oracle(rows[i], m), (m, rows[i])
+    return got
 
 
 class TestFindComplements:
@@ -97,18 +115,19 @@ class TestEnumeration:
         assert n == 12924
 
     def test_translation_canonical(self, m36):
+        sets = []
         for i, t in enumerate(enumerate_tilings(EnumerationTask(m36, 4))):
             if i > 300:
                 break
-            a = t.a.elements()
-            assert _canonical_translate(a, 36) == a
+            sets.append(t.a.elements())
             assert 0 in t.b
+        assert assert_kernel_matches_oracle(sets, 36) == sets
 
     def test_least_translate_matches_brute_force(self):
         for m in range(1, 15):
-            for size in range(m + 1):
-                for a in combinations(range(m), size):
-                    assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
+            assert_kernel_matches_oracle(
+                [a for size in range(m + 1) for a in combinations(range(m), size)], m
+            )
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -138,8 +157,8 @@ class TestEnumeration:
 
 
 class TestLeastTranslateStress:
-    """Sets with long runs of equal gaps, the hard case for a two-pointer
-    least rotation: its pointers advance past a run only at a mismatch."""
+    """Sets with long runs of equal gaps, the hard case for the least
+    rotation: many starts stay tied for many packed words of gaps."""
 
     @pytest.mark.parametrize("m", [36, 60, 225, 11025])
     def test_periodic_sets(self, m):
@@ -154,16 +173,17 @@ class TestLeastTranslateStress:
             if d > 1:
                 offsets = rng.choice(np.arange(1, d), size=min(d - 1, 3), replace=False)
                 sets.append(sorted({(x + int(o)) % m for x in base for o in (0, *offsets)}))
-            for a in sets:
-                shift = int(rng.integers(m))
-                a = [(x + shift) % m for x in a]
-                assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, d)
+            shifts = rng.integers(m, size=len(sets))
+            assert_kernel_matches_oracle(
+                [[(x + int(shift)) % m for x in a] for a, shift in zip(sets, shifts)], m
+            )
 
     @pytest.mark.parametrize("m", [60, 225, 11025])
     def test_runs_then_a_break(self, m):
-        # A run of equal gaps, then a smaller or larger gap: the pointers
-        # agree for the whole run before one of them loses.
+        # A run of equal gaps, then a smaller or larger gap: the starts in
+        # the run stay tied until a word reaches the break.
         rng = np.random.default_rng([m, 3])
+        sets = []
         for _ in range(60):
             a = set()
             for _ in range(int(rng.integers(1, 4))):
@@ -171,42 +191,89 @@ class TestLeastTranslateStress:
                 step = int(rng.integers(1, m // length + 1))
                 start = int(rng.integers(m))
                 a |= {(start + i * step) % m for i in range(length)}
-            a = sorted(a)
-            assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
+            sets.append(sorted(a))
+        assert_kernel_matches_oracle(sets, m)
 
     @pytest.mark.parametrize("m", [225, 11025])
     def test_unions_of_fibers(self, m):
         mod = Modulus.of(m)
         rng = np.random.default_rng(m + 1)
+        sets = []
         for nu, (p, _) in enumerate(mod.primes):
             step = m // p
             for count in (1, 2, 3, 5, 15):
                 roots = rng.choice(step, size=min(count, step), replace=False)
-                a = sorted(int(r) + i * step for r in roots for i in range(p))
-                assert _canonical_translate(a, m) == least_translate_oracle(a, m), (nu, count)
+                sets.append(sorted(int(r) + i * step for r in roots for i in range(p)))
+        assert_kernel_matches_oracle(sets, m)
 
     @pytest.mark.parametrize("k,seed", [(k, s) for k in (1, 2, 3) for s in (1, 2)])
     def test_shift_search_states(self, flat11025, monkeypatch, k, seed):
-        states = []
-        real = reduce_mod._canonical_translate
+        """Every batch the search keys: its start and the successors of
+        each state it expands."""
+        batches = []
+        real = reduce_mod.least_translates
 
-        def spy(elems, m):
-            states.append(tuple(elems))
-            return real(elems, m)
+        def spy(rows, m):
+            out = real(rows, m)
+            batches.append((rows.copy(), out))
+            return out
 
-        monkeypatch.setattr(reduce_mod, "_canonical_translate", spy)
+        monkeypatch.setattr(reduce_mod, "least_translates", spy)
         reduce_mod.reduce_to_grid(shifted_instance(flat11025, k, seed))
-        assert states
-        for a in states:
-            assert real(a, 11025) == least_translate_oracle(a, 11025)
+        assert batches
+        for rows, out in batches:
+            for a, key in zip(rows.tolist(), out.tolist()):
+                assert tuple(key) == least_translate_oracle(a, 11025)
 
     @pytest.mark.parametrize("m", [12, 36, 97, 225, 11025])
     def test_seeded_random_sets(self, m):
         rng = np.random.default_rng([m, 7])
+        sets = []
         for _ in range(40):
             size = int(rng.integers(1, min(m, 120) + 1))
-            a = rng.choice(m, size=size, replace=False).tolist()
-            assert _canonical_translate(a, m) == least_translate_oracle(a, m), (m, a)
+            sets.append(rng.choice(m, size=size, replace=False).tolist())
+        assert_kernel_matches_oracle(sets, m)
+
+    @pytest.mark.parametrize("m", [12, 36, 60, 225, 11025])
+    def test_batches_mixing_translates(self, m):
+        """Translates of a few base sets, shuffled into one batch of each
+        size: two rows get equal keys exactly when one is a translate of
+        the other (checked by trying every shift)."""
+        rng = np.random.default_rng([m, 11])
+        divisors = [d for d in Modulus.of(m).divisors if 1 < d < m and m // d <= 60]
+        bases = []
+        for n in (4, min(m // 2, 30)):
+            bases.append(sorted(rng.choice(m, size=n, replace=False).tolist()))
+            bases.append(sorted(rng.choice(m, size=n, replace=False).tolist()))
+        for d in divisors[:3]:
+            # a union of two cosets of d*Z_m: periodic, every other start ties
+            bases.append(sorted({x + o for x in range(0, m, d) for o in (0, int(rng.integers(1, d)))}))
+        run = min(m // 3, 25)
+        bases.append(sorted([*range(run), run + 1]))  # a run of equal gaps, then a break
+        sets = [
+            sorted((x + int(t)) % m for x in base)
+            for base in bases
+            for t in rng.integers(m, size=4)
+        ]
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+        keys = assert_kernel_matches_oracle(sets, m)
+
+        def translates(a, b):
+            return len(a) == len(b) and any(
+                sorted((x + b[0] - y) % m for x in a) == b for y in a
+            )
+
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                assert (keys[i] == keys[j]) == translates(a, b), (m, a, b)
+
+    @pytest.mark.parametrize("m", [1, 12, 36, 60, 225, 11025])
+    def test_empty_and_single_point_rows(self, m):
+        empty = least_translates(np.empty((3, 0), dtype=np.int64), m)
+        assert empty.shape == (3, 0)
+        points = np.arange(0, m, max(m // 5, 1), dtype=np.int64)[:, None]
+        assert least_translates(points, m).tolist() == [[0]] * len(points)
+        assert least_translates(np.empty((0, 4), dtype=np.int64), m).shape == (0, 4)
 
 
 class TestTheoremOneOne:
