@@ -18,9 +18,9 @@ from .cyclo import (
     t2_check,
 )
 from .tiling import (
-    DivSet,
     TilingInstance,
     box_product_sweep_is_one,
+    box_table,
     div_set,
     verify_direct,
     verify_poly,
@@ -33,8 +33,6 @@ from .cuboid import (
     phi_divides_via_cuboids,
 )
 from .structure import (
-    GridFiberReport,
-    IJKPartition,
     StructureFinding,
     classify_unfibered_grid,
     detect_corner,

@@ -6,9 +6,10 @@ two mask polynomials is again a multiset here.
 
 Multisets are immutable; all operations return fresh objects.  The weight
 vector is read-only, so a multiset caches what is derived from it: its hash,
-whether it is a set, and its cyclotomic spectrum (the set of s | m with
+whether it is a set, its cyclotomic spectrum (the set of s | m with
 Phi_s | A), which `cyclotile.cyclo` computes in one pass on the first
-cyclotomic query and stores in the `_spectrum` slot.
+cyclotomic query and stores in the `_spectrum` slot, and its divisor set
+Div(A), which `cyclotile.tiling.div_set` stores in the `_div` slot.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .zm import Modulus
 class Multiset:
     """Integer weight function on Z_m; the mask polynomial sum w(x) X^x."""
 
-    __slots__ = ("modulus", "weights", "_hash", "_is_set", "_spectrum")
+    __slots__ = ("modulus", "weights", "_hash", "_is_set", "_spectrum", "_div")
 
     def __init__(self, modulus: Modulus, weights: np.ndarray | Iterable[int]):
         w = np.asarray(weights, dtype=np.int64)
@@ -36,6 +37,7 @@ class Multiset:
         self._hash: int | None = None
         self._is_set: bool | None = None
         self._spectrum: frozenset[int] | None = None
+        self._div: frozenset[int] | None = None
 
     # -- constructors --------------------------------------------------------
 

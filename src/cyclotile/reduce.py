@@ -36,43 +36,33 @@ from .structure import (
     StructureFinding,
     unfibered_grids,
 )
-from .tiling import TilingInstance, verify_direct, verify_poly, verify_sands
+from .tiling import TilingInstance, div_set, verify_direct, verify_poly, verify_sands
 from .zm import Modulus
 
 
 # -- cofibered structures and fiber shifts --------------------------------------
 
 
-def is_n_fibered(b: Multiset, n_div: int, nu: int) -> bool:
-    """Whether B mod N is a disjoint union of same-multiplicity N-fibers in
-    the p_nu direction (every touched fiber coset carries a constant weight)."""
-    mod = b.modulus
-    p = mod.primes[nu][0]
-    if n_div % p != 0 or mod.m % n_div != 0:
-        return False
-    w = b.reduce_mod(n_div).weights
-    step = n_div // p
-    folded = w.reshape(p, step)
-    constant_per_coset = np.all(folded == folded[0], axis=0)
-    if not bool(constant_per_coset.all()):
-        return False
-    vals = set(int(v) for v in folded[0]) - {0}
-    return len(vals) <= 1 and bool(vals)
+def is_n_fibered(b: Multiset, nu: int) -> bool:
+    """Whether B mod M/p_nu is a disjoint union of same-multiplicity
+    (M/p_nu)-fibers in the p_nu direction; requires p_nu^2 | M.
+
+    Folded to a (p, M/p^2) array, B mod M/p_nu must have every column
+    constant (each row equal to row 0), and the nonzero entries of row 0
+    must be equal and not absent."""
+    p = b.modulus.primes[nu][0]
+    folded = b.weights.reshape(p, -1).sum(axis=0).reshape(p, -1)
+    touched = folded[0][folded[0] != 0]
+    return bool((folded == folded[0]).all() and touched.size and (touched == touched[0]).all())
 
 
-def detect_cofibered(t: TilingInstance, nu: int) -> tuple[tuple[int, ...], ...] | None:
+def detect_cofibered(t: TilingInstance, nu: int) -> tuple[int, ...] | None:
     """(1,2)-cofibered structure in direction nu: B is (M/p_nu)-fibered there
-    and A holds at least one full M-fiber.  Returns the A-cofibers (as fiber
-    root tuples) or None."""
-    mod = t.modulus
-    p, n = mod.primes[nu]
-    if n != 2:
+    and A holds at least one full M-fiber.  Returns the roots r < M/p_nu of
+    A's full M-fibers in direction nu, or None."""
+    if t.modulus.primes[nu][1] != 2 or not is_n_fibered(t.b, nu):
         return None
-    if not is_n_fibered(t.b, mod.m // p, nu):
-        return None
-    step = mod.m // p
-    roots = t.a.fiber_roots(nu).tolist()
-    return tuple(tuple(range(r, mod.m, step)) for r in roots) if roots else None
+    return tuple(t.a.fiber_roots(nu).tolist()) or None
 
 
 @dataclass(frozen=True)
@@ -100,11 +90,12 @@ def fiber_shift(t: TilingInstance, move: ShiftMove) -> TilingInstance:
     p, n = mod.primes[nu]
     if n != 2:
         raise ShiftError("fiber shifts require exponent 2 in the shift direction")
-    if detect_cofibered(t, nu) is None:
+    roots = detect_cofibered(t, nu)
+    if roots is None:
         raise ShiftError(f"no (1,2)-cofibered structure in direction {nu}")
     if mod.gcd_with(move.root - move.target, mod.m) != mod.m // p**2:
         raise ShiftError("target must sit at distance M/p^2 from the fiber")
-    if move.root % (mod.m // p) not in t.a.fiber_roots(nu):
+    if move.root % (mod.m // p) not in roots:
         raise ShiftError("the declared fiber is not contained in A")
     remaining = set(t.a.support()).difference(mod.fiber(move.root, nu))
     new_fiber = mod.fiber(move.target, nu)
@@ -197,7 +188,7 @@ def _shift_tables(t: TilingInstance) -> tuple[np.ndarray, dict[int, np.ndarray]]
     M_nu divides M, so m - y and -y lie on the same lines."""
     mod = t.modulus
     in_div_b = np.zeros(mod.m + 1, dtype=bool)
-    in_div_b[list(t.div_b())] = True
+    in_div_b[list(div_set(t.b))] = True
     sat = in_div_b[mod.gcd_table()]
     off_line = {
         nu: sat & (np.arange(mod.m) % mod.m_nu(nu) != 0)
@@ -457,8 +448,8 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
     # An unfibered grid, or a triple intersection of the fiber membership
     # sets, goes through the shift search.
     unfibered = unfibered_grids(t.a)
-    part = None if unfibered else ijk_partition(t)
-    if unfibered or part.triple:
+    on = None if unfibered else ijk_partition(t.a)
+    if unfibered or on.all(axis=0).any():
         if unfibered:
             structures = (classify_unfibered_grid(t.a, unfibered[0]),)
             branch = "unfibered-grid"
@@ -475,9 +466,9 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
         return unresolved(note, None, structures, trace)
 
     # Fibered case without a triple intersection.
-    support = frozenset(t.a.support())
+    support = np.flatnonzero(t.a.weights)
     for nu in range(3):
-        if part.set_for(nu) == support:
+        if on[nu, support].all():
             # A is M-fibered in a single direction: slab route.
             if subtile_condition(t, nu) and slab_instances_verify(t, nu):
                 report = certified("slab-reduction", t, nu)
@@ -489,7 +480,7 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
     # A is the union of the other two sets, and neither of them contains the
     # other (else it would be A, the slab case above).
     for nu in range(3):
-        if part.set_for(nu):
+        if on[nu].any():
             continue
         p = mod.primes[nu][0]
         # p exactly divides |A|, so by (T1) exactly one of Phi_p, Phi_{p^2}

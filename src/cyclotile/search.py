@@ -28,7 +28,7 @@ import numpy as np
 
 from .multiset import Multiset
 from .tiling import TilingInstance
-from .zm import Modulus
+from .zm import Modulus, factorize
 
 MODULUS_CAP = 400
 STRUCTURED_LIMIT = 8_000_000
@@ -109,8 +109,6 @@ def _equidistribution_quotas(m: int, own: int, other: int) -> list[tuple[int, in
     killed by the primitive p^j-th roots is a combination of step-p^{j-1}
     fibers, hence has size divisible by p; the complement avoids that.)
     """
-    from .zm import factorize
-
     out = []
     for p, a in factorize(m):
         q = p**a

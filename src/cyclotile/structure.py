@@ -2,12 +2,16 @@
 
 A D(M)-grid of a 3-prime modulus is identified with the coordinate box
 Z_{p_i} x Z_{p_j} x Z_{p_k}, and all grids of a multiset together form one
-(D, p_i, p_j, p_k) tensor (`grid_tensor`), built by a single index.  On it,
+(D, p_i, p_j, p_k) tensor (`grid_tensor`), built by a single index; a
+detector that looks at one grid indexes just that grid (`_grid`).  On it,
 "M-fibered in direction nu" is "constant along axis nu", a transverse 2d
 slice is a take along that axis, and fiber stripping clears lines.  The
-detectors below classify how a set meets a grid: fibered directions,
-diagonal boxes, corners and extended corners, full planes, almost corners,
-and the even-modulus variants.  The classification dispatches on which top
+detectors below classify how a set meets a grid: fibered directions (one
+flag per direction, `grid_fiber_report`), diagonal boxes, corners and
+extended corners, full planes, almost corners, and the even-modulus
+variants.  Fiber membership over all of Z_M is one (3, M) bool mask
+(`ijk_partition`), read from the full-fiber test of
+`Multiset.fiber_roots`.  The classification dispatches on which top
 divisors (multiples of D(M)) occur among the differences of the grid
 restriction; acceptance criterion 8 checks its labels and
 `detect_extended_corner`.  `plane_bound_check` counts a tile's plane
@@ -54,10 +58,10 @@ def grid_tensor(a: Multiset) -> np.ndarray:
 
 def _grid(a: Multiset, anchor: int) -> tuple[np.ndarray, np.ndarray]:
     """(occupancy, elements) boxes of the grid through anchor: which cells A
-    meets, and the element each cell holds."""
+    meets, and the element each cell holds; one grid of `grid_tensor`."""
     mod = a.modulus
-    d = mod.d_of_m
-    return grid_tensor(a)[anchor % d] != 0, anchor % d + d * _box_offsets(mod)
+    elements = anchor % mod.d_of_m + mod.d_of_m * _box_offsets(mod)
+    return a.weights[elements] != 0, elements
 
 
 def _fibered(t: np.ndarray, axis: int) -> np.ndarray:
@@ -66,32 +70,12 @@ def _fibered(t: np.ndarray, axis: int) -> np.ndarray:
     return (t == t.take([0], axis=axis)).reshape(len(t), -1).all(axis=1)
 
 
-@dataclass(frozen=True)
-class GridFiberReport:
-    anchor: int
-    empty: bool
-    fibered: tuple[bool, ...]  # per direction
-    roots: tuple[tuple[int, ...], ...]  # per direction
-
-    @property
-    def fibered_any(self) -> bool:
-        return not self.empty and any(self.fibered)
-
-
-def grid_fiber_report(a: Multiset, anchor: int) -> GridFiberReport:
-    """Per direction, whether the grid through anchor is M-fibered, and the
-    roots of A's full fibers on it (empty when it is not fibered)."""
-    mod = a.modulus
-    d = mod.d_of_m
-    occ = _grid(a, anchor)[0]
-    if not occ.any():
-        return GridFiberReport(anchor, True, (True,) * mod.num_primes, ((),) * mod.num_primes)
-    flags = tuple(bool(_fibered(occ[None], nu + 1)[0]) for nu in range(mod.num_primes))
-    roots = tuple(
-        tuple(r for r in a.fiber_roots(nu).tolist() if r % d == anchor % d) if fibered else ()
-        for nu, fibered in enumerate(flags)
-    )
-    return GridFiberReport(anchor, False, flags, roots)
+def grid_fiber_report(a: Multiset, anchor: int) -> tuple[bool, ...]:
+    """Per direction, whether the grid through anchor is M-fibered there (A
+    meets each M-fiber of the grid fully or not at all); an empty grid is
+    fibered in every direction."""
+    occ = _grid(a, anchor)[0][None]
+    return tuple(bool(_fibered(occ, nu + 1)[0]) for nu in range(a.modulus.num_primes))
 
 
 def unfibered_grids(a: Multiset) -> list[int]:
@@ -105,29 +89,18 @@ def unfibered_grids(a: Multiset) -> list[int]:
 # -- the I/J/K membership partition ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IJKPartition:
-    """Fiber membership of each element of A."""
-
-    sets: tuple[frozenset[int], ...]  # per direction: elements on a full fiber
-    triple: frozenset[int]  # elements on full fibers in all three directions
-
-    def set_for(self, nu: int) -> frozenset[int]:
-        return self.sets[nu]
-
-
-def ijk_partition(t: TilingInstance) -> IJKPartition:
-    """Per-direction full-fiber membership of A (the points of the M-fibers
-    that lie in its support)."""
-    mod = t.modulus
+def ijk_partition(a: Multiset) -> np.ndarray:
+    """Per-direction full-fiber membership as a (3, m) bool mask: row nu marks
+    the points x whose M-fiber in direction nu lies in the support of A, read
+    from `Multiset.fiber_roots`.  A marked point lies in A, and a point
+    marked in all three rows is in the triple intersection."""
+    mod = a.modulus
     if mod.num_primes != 3:
         raise ValueError("the fiber membership partition requires 3 primes")
-    sets = []
-    for nu in range(3):
-        p = mod.primes[nu][0]
-        fibers = t.a.fiber_roots(nu) + mod.m // p * np.arange(p)[:, None]
-        sets.append(frozenset(fibers.ravel().tolist()))
-    return IJKPartition(tuple(sets), sets[0] & sets[1] & sets[2])
+    on = np.zeros((3, mod.m), dtype=bool)
+    for nu, p in enumerate(mod.prime_list):
+        on[nu, a.fiber_roots(nu) + mod.m // p * np.arange(p)[:, None]] = True
+    return on
 
 
 # -- structure findings ---------------------------------------------------------------
@@ -312,7 +285,7 @@ def _top_divisor_profile(a: Multiset, anchor: int) -> tuple[frozenset[int], froz
     mod = a.modulus
     occ, elements = _grid(a, anchor)
     top = frozenset(m for m in mod.divisors if m % mod.d_of_m == 0)
-    present = div_set(Multiset.from_set(mod, elements[occ].tolist())).members & top
+    present = div_set(Multiset.from_set(mod, elements[occ].tolist())) & top
     return present, top - present
 
 
@@ -377,10 +350,9 @@ def classify_unfibered_grid(a: Multiset, anchor: int) -> StructureFinding:
     mod = a.modulus
     if mod.num_primes != 3:
         raise ValueError("grid classification requires 3 primes")
-    report = grid_fiber_report(a, anchor)
-    if report.empty:
+    if not _grid(a, anchor)[0].any():
         raise ValueError("grid restriction is empty")
-    if report.fibered_any:
+    if any(grid_fiber_report(a, anchor)):
         raise ValueError("grid restriction is fibered; nothing to classify")
     if not cyclo.phi_divides(mod.m, a):
         raise ValueError("Phi_M does not divide A")

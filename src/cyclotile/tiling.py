@@ -10,14 +10,16 @@ Their mutual agreement on exhaustive sweeps is the strongest cheap
 correctness check available for the whole stack, so nothing here is shared;
 acceptance criterion 1 checks it.
 
-Also houses the box table of an instance and `box_product_sweep_is_one`, the
-exact box-product identity <A[x], B[y]> = 1 of a tiling, which acceptance
-criterion 4 checks.
+Div(A) is a fact of one side, so `div_set` caches it on the multiset (the
+`_div` slot), as `cyclotile.cyclo` caches the spectrum: a side shared by
+several instances, such as B along a chain of fiber shifts, computes it
+once.  Also houses `box_table`, the box table of one side, and
+`box_product_sweep_is_one`, the exact box-product identity
+<A[x], B[y]> = 1 of a tiling, which acceptance criterion 4 checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,29 +29,37 @@ from .multiset import Multiset
 from .zm import Modulus
 
 
-@dataclass(frozen=True)
-class DivSet:
-    """Divisor set Div(A): gcds (a - a', m) realized by differences, at scale m."""
-
-    scale: int
-    members: frozenset[int]
-
-    def __contains__(self, d: int) -> bool:
-        return d in self.members
-
-
-def div_set(a: Multiset) -> DivSet:
+def _divisor_set(a: Multiset) -> frozenset[int]:
     """Div(A) = {(a - a', m) : a, a' in A}, read from the gcd table."""
     mod = a.modulus
     sup = np.flatnonzero(a.weights)
     # a negative difference -x indexes m - x, and (m - x, m) = (x, m)
     seen = np.zeros(mod.m + 1, dtype=bool)
     seen[mod.gcd_table()[sup[:, None] - sup[None, :]]] = True
-    return DivSet(mod.m, frozenset(np.flatnonzero(seen).tolist()))
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def div_set(a: Multiset) -> frozenset[int]:
+    """Div(A), computed on first use and cached on A."""
+    if a._div is None:
+        a._div = _divisor_set(a)
+    return a._div
+
+
+def box_table(side: Multiset) -> np.ndarray:
+    """Dense table T[x, c] = weighted count of elements a of the side with
+    divisor-class((x - a, m)) == c; rows sum to the side's total."""
+    mod = side.modulus
+    cls = mod.gcd_class_table()
+    t = np.zeros((mod.m, len(mod.divisors)), dtype=np.int64)
+    rows = np.arange(mod.m)
+    for x in np.flatnonzero(side.weights):
+        t[rows, cls[(rows - int(x)) % mod.m]] += side.weights[x]
+    return t
 
 
 class TilingInstance:
-    """A candidate tiling (A, B) of Z_m; immutable, with cached divisor data."""
+    """A candidate tiling (A, B) of Z_m; immutable."""
 
     def __init__(self, modulus: Modulus, a: Multiset, b: Multiset):
         if a.modulus.m != modulus.m or b.modulus.m != modulus.m:
@@ -57,7 +67,6 @@ class TilingInstance:
         self.modulus = modulus
         self.a = a
         self.b = b
-        self._cache: dict[str, object] = {}
 
     @staticmethod
     def from_sets(modulus: Modulus, a: Iterable[int], b: Iterable[int]) -> TilingInstance:
@@ -77,39 +86,6 @@ class TilingInstance:
 
     def transpose(self) -> TilingInstance:
         return TilingInstance(self.modulus, self.b, self.a)
-
-    def side(self, which: str) -> Multiset:
-        if which not in ("a", "b"):
-            raise ValueError("side must be 'a' or 'b'")
-        return self.a if which == "a" else self.b
-
-    # -- cached per-instance data -----------------------------------------------
-
-    def div_a(self) -> frozenset[int]:
-        if "div_a" not in self._cache:
-            self._cache["div_a"] = div_set(self.a).members
-        return self._cache["div_a"]  # type: ignore[return-value]
-
-    def div_b(self) -> frozenset[int]:
-        if "div_b" not in self._cache:
-            self._cache["div_b"] = div_set(self.b).members
-        return self._cache["div_b"]  # type: ignore[return-value]
-
-    def box_table(self, which: str) -> np.ndarray:
-        """Dense table T[x, c] = weighted count of side elements with
-        divisor-class((x - a, m)) == c; rows sum to the side's total."""
-        key = f"box_{which}"
-        if key not in self._cache:
-            side = self.side(which)
-            mod = self.modulus
-            cls = mod.gcd_class_table()
-            t = np.zeros((mod.m, len(mod.divisors)), dtype=np.int64)
-            rows = np.arange(mod.m)
-            for x in np.flatnonzero(side.weights):
-                t[rows, cls[(rows - int(x)) % mod.m]] += side.weights[x]
-            t.setflags(write=False)
-            self._cache[key] = t
-        return self._cache[key]  # type: ignore[return-value]
 
     def __repr__(self) -> str:
         return f"TilingInstance(m={self.modulus.m}, |A|={len(self.a)}, |B|={len(self.b)})"
@@ -152,7 +128,7 @@ def verify_sands(t: TilingInstance) -> bool:
     m = t.modulus.m
     if len(t.a) * len(t.b) != m:
         return False
-    return t.div_a() & t.div_b() == {m}
+    return div_set(t.a) & div_set(t.b) == {m}
 
 
 # -- the box product -----------------------------------------------------------
@@ -167,7 +143,7 @@ def box_product_sweep_is_one(t: TilingInstance, xs: np.ndarray, ys: np.ndarray) 
     phis = np.array([mod.phi_of_divisor(mod.m // d) for d in mod.divisors], dtype=np.int64)
     big = np.lcm.reduce(phis)
     weightvec = big // phis
-    ta = t.box_table("a")[np.asarray(xs) % mod.m]
-    tb = t.box_table("b")[np.asarray(ys) % mod.m]
+    ta = box_table(t.a)[np.asarray(xs) % mod.m]
+    tb = box_table(t.b)[np.asarray(ys) % mod.m]
     lhs = ((ta * tb) * weightvec[None, :]).sum(axis=1)
     return bool(np.all(lhs == big))

@@ -208,10 +208,7 @@ class Modulus:
     @lru_cache(maxsize=None)
     def gcd_class_table(self) -> np.ndarray:
         """Dense table c[x] = divisor_index(gcd(x, m)); read-only int64 array."""
-        _, idx = self._divisor_tables()
-        lut = {d: i for d, i in idx.items()}
-        g = self.gcd_table()
-        out = np.array([lut[int(v)] for v in g], dtype=np.int64)
+        out = np.searchsorted(self.divisors, self.gcd_table()).astype(np.int64)
         out.setflags(write=False)
         return out
 

@@ -9,8 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from cyclotile.cli import main
 from cyclotile.io import instance_file_from, parse_instance, write_instance
+from cyclotile.multiset import Multiset
+from cyclotile.tiling import TilingInstance, verify_direct
 from cyclotile.zm import Modulus, factorize
-from tests_helpers import LAYERED_BRANCH, layered_tiling, shifted_instance
+from tests_helpers import (
+    LAYERED_BRANCH,
+    flat_tiling,
+    grid_shifts,
+    layered_tiling,
+    shifted_instance,
+)
 
 
 @pytest.fixture()
@@ -268,3 +276,78 @@ class TestFuzz:
         if command == "shift":
             argv += [f"--{flag}={v}" for flag, v in zip(("dir", "root", "to"), shift)]
         assert main(argv) in (0, 1, 2)
+
+
+_M11025 = Modulus.of(11025)
+_FLAT11025 = flat_tiling(_M11025)
+
+
+@st.composite
+def _pipeline_instances(draw):
+    """(A, B) point lists on Z_11025 from a construction that reaches the
+    classify pipeline, sides in either order, with one point of A perhaps
+    dropped or moved."""
+    mod, seed = _M11025, draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["shifted", "grid-shifts", "layered"]))
+    if kind == "layered":
+        a, b = layered_tiling(mod, draw(st.integers(0, 2)), draw(st.booleans()), seed)
+    else:
+        if kind == "shifted":
+            t = shifted_instance(_FLAT11025, draw(st.integers(0, 4)), seed)
+        else:
+            t = grid_shifts(_FLAT11025, draw(st.lists(st.integers(0, 2), max_size=2)), seed)
+        a, b = t.a, t.b
+    if draw(st.booleans()):
+        a, b = b, a
+    pts = set(a.elements())
+    edit = draw(st.sampled_from(["keep", "keep", "drop", "move"]))
+    if edit != "keep":
+        x = draw(st.sampled_from(sorted(pts)))
+        pts.discard(x)
+        if edit == "move":
+            pts.add((x + draw(st.integers(1, mod.m - 1))) % mod.m)
+    return sorted(pts), list(b.elements())
+
+
+@st.composite
+def _shift_flags(draw, a):
+    """`shift` arguments: a prime of 11025 or junk, a point of A or any
+    integer, and a target at a multiple of M/p^2 from the root or anywhere."""
+    prime = draw(st.sampled_from([3, 5, 7, 3, 5, 7, 2, 0, -3]))
+    root = draw(st.one_of(st.sampled_from(a), st.integers(-(2**70), 2**70)))
+    p = prime if prime in (3, 5, 7) else 3
+    to = draw(
+        st.one_of(
+            st.integers(1, p * p - 1).map(lambda u: root + u * (11025 // p**2)),
+            st.integers(-50_000, 50_000),
+        )
+    )
+    return [f"--dir={prime}", f"--root={root}", f"--to={to}"]
+
+
+class TestPipelineFuzz:
+    """The 0/1/2 contract on Z_11025 inputs that reach the classify branches
+    and fiber shifts; 0 only on a tiling."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("pipeline") / "instance.json"
+
+    @settings(max_examples=40, deadline=None)
+    @given(sides=_pipeline_instances(), budget=st.integers(1, 50), data=st.data())
+    def test_exit_code_contract(self, path, sides, budget, data):
+        a, b = sides
+        mod = _M11025
+        path.write_text(
+            write_instance(
+                instance_file_from(mod, Multiset.from_set(mod, a), Multiset.from_set(mod, b))
+            )
+        )
+        tiles = verify_direct(TilingInstance.from_sets(mod, a, b))
+        for argv in (
+            ["classify", str(path), f"--budget={budget}"],
+            ["shift", str(path), *data.draw(_shift_flags(a))],
+        ):
+            code = main(argv)
+            assert code in (0, 1, 2), argv
+            assert tiles or code != 0, argv

@@ -75,11 +75,10 @@ def fiber_union_not_fibered_has_extended_corner(t: TilingInstance, anchor: int) 
     """A nonempty disjoint union of M-fibers that is not fibered in any single
     direction contains an extended corner in some direction."""
     _is_3prime_tiling(t)
-    rep = grid_fiber_report(t.a, anchor)
-    _require(not rep.empty, "grid restriction is empty")
+    _require(bool(_grid(t.a, anchor)[0].any()), "grid restriction is empty")
     residual, _ = remove_fibers(t.a, anchor)
     _require(len(residual) == 0, "grid restriction is not a union of fibers")
-    _require(not rep.fibered_any, "grid restriction is fibered in one direction")
+    _require(not any(grid_fiber_report(t.a, anchor)), "grid is fibered in one direction")
     return any(detect_extended_corner(t.a, anchor, nu).found for nu in range(3))
 
 
@@ -137,7 +136,7 @@ def triple_intersection_reduces(t: TilingInstance, budget: int = 10_000) -> bool
     """Fibered tilings with an element on full fibers in all three directions
     reduce to a grid by fiber shifts."""
     _assumption_f(t)
-    _require(bool(ijk_partition(t).triple), "triple intersection is empty")
+    _require(bool(ijk_partition(t.a).all(axis=0).any()), "triple intersection is empty")
     trace = reduce_to_grid(t, budget)
     return trace is not None and trace.ok
 
@@ -147,11 +146,11 @@ def fibered_intersection_plane_filled(t: TilingInstance, a_elem: int, j: int, k:
     one of them, fills its transverse plane with the double fiber."""
     _assumption_f(t)
     mod = t.modulus
-    part = ijk_partition(t)
+    on = ijk_partition(t.a)
     nu = next(n for n in range(3) if n not in (j, k))
-    _require(a_elem in part.set_for(j) and a_elem in part.set_for(k), "element not in both sets")
+    _require(bool(on[j, a_elem] and on[k, a_elem]), "element not in both sets")
     anchor = a_elem % mod.d_of_m
-    fibered = grid_fiber_report(t.a, anchor).fibered
+    fibered = grid_fiber_report(t.a, anchor)
     _require(fibered[j] or fibered[k], "grid not fibered in either given direction")
     plane = set()
     for x in (a_elem,):
@@ -171,10 +170,8 @@ def single_direction_fibering_slab(t: TilingInstance, nu: int) -> bool:
     equivalence: the divisibility alternative holds and all translate slabs
     tile the quotient."""
     _is_3prime_tiling(t)
-    mod = t.modulus
-    support = frozenset(t.a.support())
-    part = ijk_partition(t)
-    _require(part.set_for(nu) == support, "A is not fibered in the direction")
+    on = ijk_partition(t.a)
+    _require(bool(on[nu, t.a.weights != 0].all()), "A is not fibered in the direction")
     return subtile_condition(t, nu) and slab_instances_verify(t, nu)
 
 
@@ -242,8 +239,7 @@ class TestUnfiberedPredicates:
             inst = shifted_instance(flat11025, 2, seed=seed)
             hits = 0
             for anchor in range(inst.modulus.d_of_m):
-                rep = grid_fiber_report(inst.a, anchor)
-                if rep.empty or rep.fibered_any:
+                if any(grid_fiber_report(inst.a, anchor)):
                     continue
                 residual, _ = remove_fibers(inst.a, anchor)
                 if len(residual) == 0:
@@ -308,8 +304,7 @@ class TestStructureTheoremsOnShiftedInstances:
         inst = shifted_instance(flat11025, 3, seed=seed)
         analyzed = 0
         for anchor in range(inst.modulus.d_of_m):
-            rep = grid_fiber_report(inst.a, anchor)
-            if rep.empty or rep.fibered_any:
+            if any(grid_fiber_report(inst.a, anchor)):
                 continue
             residual, _ = remove_fibers(inst.a, anchor)
             if len(residual) == 0:

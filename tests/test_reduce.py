@@ -17,6 +17,7 @@ from cyclotile import (
     TilingInstance,
     classify,
     detect_cofibered,
+    div_set,
     fiber_shift,
     find_complements,
     reduce_to_grid,
@@ -43,7 +44,7 @@ def _search_context(t: TilingInstance) -> tuple[list[int], np.ndarray]:
     """The shift directions and the Div(B) lookup that reduce_to_grid fixes
     from its start instance."""
     in_div_b = np.zeros(t.modulus.m + 1, dtype=bool)
-    in_div_b[list(t.div_b())] = True
+    in_div_b[list(div_set(t.b))] = True
     return [nu for nu in range(t.modulus.num_primes) if detect_cofibered(t, nu)], in_div_b
 
 
@@ -106,8 +107,8 @@ class TestCofibered:
             # A = 15*Z_225: the fiber through 0 in each direction, and one
             # fiber per root below M/p
             p = flat225.modulus.primes[nu][0]
-            assert cof is not None and len(cof) == 15 // p
-            assert tuple(range(0, 225, 225 // p)) in cof
+            assert cof == tuple(range(0, 225 // p, 15))
+            assert len(cof) == 15 // p
 
     def test_flat11025_all_directions(self, flat11025):
         for nu in range(3):
@@ -117,9 +118,43 @@ class TestCofibered:
         t = TilingInstance.from_sets(Modulus.of(12), [0, 1, 2, 3], [0, 4, 8])
         assert detect_cofibered(t, 1) is None
 
+    def test_no_full_fiber_in_a_none(self, m11025, flat11025):
+        # B is fibered at M/p in every direction, but a single point holds no
+        # full fiber: None, not an empty root tuple
+        t = TilingInstance(m11025, Multiset.from_set(m11025, [0]), flat11025.b)
+        for nu in range(3):
+            assert is_n_fibered(t.b, nu)
+            assert detect_cofibered(t, nu) is None
+
     def test_n_fibered_detects(self, flat225):
-        assert is_n_fibered(flat225.b, 75, 0)
-        assert not is_n_fibered(flat225.a, 75, 0)
+        assert is_n_fibered(flat225.b, 0)
+        assert not is_n_fibered(flat225.a, 0)
+
+    @pytest.mark.parametrize("m", [225, 11025])
+    def test_n_fibered_matches_set_oracle(self, m, flat11025):
+        # the set test the array test replaced: B mod M/p folded to p rows,
+        # every column constant, one nonzero value in row 0
+        mod = Modulus.of(m)
+        rng = np.random.default_rng(m)
+        cases = [Multiset.zero(mod), Multiset.full(mod)]
+        if m == 11025:
+            cases += [flat11025.a, flat11025.b, shifted_instance(flat11025, 2, seed=1).a]
+        for _ in range(40):
+            # unions of (M/p)-fibers, steps of M/p^2, at seeded roots
+            p = mod.primes[int(rng.integers(mod.num_primes))][0]
+            roots = rng.choice(m // p, size=int(rng.integers(1, 4)), replace=False)
+            fibered = Multiset.from_set(mod, {(r + k * (m // p**2)) % m for r in roots for k in range(p)})
+            cases += [fibered, fibered.scale(int(rng.integers(-2, 3))), fibered.translate(1).add(fibered)]
+            cases.append(Multiset(mod, rng.integers(-1, 2, size=m)))
+        verdicts = []
+        for b in cases:
+            for nu, (p, _) in enumerate(mod.primes):
+                folded = b.reduce_mod(m // p).weights.reshape(p, -1)
+                vals = set(folded[0].tolist()) - {0}
+                expect = bool((folded == folded[0]).all()) and len(vals) == 1
+                assert is_n_fibered(b, nu) == expect
+                verdicts.append(expect)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestFiberShift:
@@ -137,6 +172,11 @@ class TestFiberShift:
     def test_wrong_distance(self, flat225):
         with pytest.raises(ShiftError):
             fiber_shift(flat225, ShiftMove(0, 0, 1))
+
+    def test_root_not_a_fiber_of_a(self, flat225):
+        # 1 and 26 sit M/p^2 = 25 apart, but A = 15*Z_225 holds no fiber at 1
+        with pytest.raises(ShiftError, match="not contained"):
+            fiber_shift(flat225, ShiftMove(0, 1, 26))
 
     def test_collision(self, m225, flat225):
         # two parallel fibers at the shift distance cannot coexist in a real

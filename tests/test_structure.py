@@ -1,5 +1,5 @@
-"""Grid fibering reports, the I/J/K partition, structure detectors, plane
-bound, and missing-top-difference fibering.
+"""Grid fibering flags, the I/J/K membership mask, structure detectors,
+plane bound, and missing-top-difference fibering.
 
 The missing-top-difference fibering lemma lives here as a test-side check,
 `missing_top_difference_fibering`; no library path calls it.
@@ -17,6 +17,7 @@ from cyclotile import (
     Modulus,
     Multiset,
     TilingInstance,
+    box_table,
     classify_unfibered_grid,
     detect_corner,
     detect_diagonal_boxes,
@@ -26,7 +27,6 @@ from cyclotile import (
     phi_divides,
     plane_bound_check,
     remove_fibers,
-    standard_complement,
 )
 from cyclotile.structure import _fibered, _top_divisor_profile, grid_tensor, unfibered_grids
 from cyclotile.tiling import div_set
@@ -86,7 +86,7 @@ def missing_top_difference_fibering(a: Multiset, n_div: int, nu: int) -> Fiberin
         else:
             per_grid.append((anchor, direction))
     single = None
-    div_reduced = div_set(reduced).members
+    div_reduced = div_set(reduced)
     other_missing = [
         k
         for k in others
@@ -114,19 +114,17 @@ def grid_points(mod, coords_list):
 class TestGridFibering:
     def test_empty_vacuous(self, m11025):
         a = Multiset.from_set(m11025, range(0, 11025, 105))
-        rep = grid_fiber_report(a, 1)
-        assert rep.empty
+        assert grid_fiber_report(a, 1) == (True, True, True)
 
     def test_full_grid_all_directions(self, m11025):
         a = Multiset.from_set(m11025, range(0, 11025, 105))
-        rep = grid_fiber_report(a, 0)
-        assert all(rep.fibered)
-        assert len(rep.roots[0]) == 35  # p_j * p_k roots
+        assert grid_fiber_report(a, 0) == (True, True, True)
+        assert len(a.fiber_roots(0)) == 35  # p_j * p_k roots
 
     def test_fiber_plus_point_never_fibered(self, m11025):
         pts = list(m11025.fiber(0, 0)) + [105]
         a = Multiset.from_set(m11025, pts)
-        assert not any(grid_fiber_report(a, 0).fibered)
+        assert not any(grid_fiber_report(a, 0))
 
 
 def _oracle_members(a, anchor):
@@ -192,12 +190,17 @@ class TestAgainstSetOracle:
     """Every tensor read of a grid agrees with a fiber-by-fiber set oracle."""
 
     def _check(self, a, anchors):
+        mod = a.modulus
+        on = ijk_partition(a)
         for anchor in anchors:
+            members = _oracle_members(a, anchor)
             verdicts = [_oracle_fibered(a, anchor, nu) for nu in range(3)]
-            rep = grid_fiber_report(a, anchor)
-            assert rep.empty == (not _oracle_members(a, anchor))
-            assert rep.fibered == tuple(v for v, _ in verdicts)
-            assert rep.roots == tuple(r for _, r in verdicts)
+            assert grid_fiber_report(a, anchor) == tuple(v for v, _ in verdicts)
+            for nu, (fibered, roots) in enumerate(verdicts):
+                on_grid = [r for r in a.fiber_roots(nu).tolist() if r % mod.d_of_m == anchor]
+                assert not fibered or tuple(on_grid) == roots
+                marked = {x for x in members if on[nu, x]}
+                assert marked == {x for x in members if _oracle_fiber(mod, x, nu) <= members}
             residual, removed = remove_fibers(a, anchor)
             left, stripped = _oracle_strip(a, anchor)
             assert set(residual.support()) == left and removed == stripped
@@ -218,10 +221,11 @@ class TestAgainstSetOracle:
 
 class TestIJK:
     def test_full_grid(self, flat11025):
-        part = ijk_partition(flat11025)
-        support = frozenset(flat11025.a.support())
-        assert part.sets[0] == part.sets[1] == part.sets[2] == support
-        assert part.triple == support
+        on = ijk_partition(flat11025.a)
+        # every point of the grid, and nothing else, is on a full fiber in
+        # each direction, so each lies in the triple intersection
+        assert on.shape == (3, 11025)
+        assert (on == (flat11025.a.weights != 0)).all()
         # assumption (F): every grid that A meets is fibered
         assert not unfibered_grids(flat11025.a)
 
@@ -233,11 +237,12 @@ class TestIJK:
 
         t = shifted_instance(flat11025, k, seed=1)
         mod = t.modulus
-        table = t.box_table("a")
-        part = ijk_partition(t)
+        table = box_table(t.a)
+        on = ijk_partition(t.a)
         for nu, (p, _) in enumerate(mod.primes):
             idx = mod.divisor_index(mod.m // p)
-            assert part.set_for(nu) == {x for x in t.a.support() if table[x, idx] == p - 1}
+            expect = {x for x in t.a.support() if table[x, idx] == p - 1}
+            assert set(np.flatnonzero(on[nu]).tolist()) == expect
 
     def test_mixed_double_fiber_example(self, m11025):
         # F_i * [(F_j * a) u (F_k * a)]: a lies in all three sets, yet the
@@ -249,26 +254,21 @@ class TestIJK:
         base = fj | fk
         pts = sorted({(x + t * (mod.m // 3)) % mod.m for x in base for t in range(3)})
         aset = Multiset.from_set(mod, pts)
-        bflat = standard_complement(mod, ({1}, {1}, {1}))
-        t = TilingInstance(mod, aset, bflat)  # not a tiling; membership only
-        table_t = t.box_table("a")
+        table = box_table(aset)
         for nu, p in ((0, 3), (1, 5), (2, 7)):
             idx = mod.divisor_index(mod.m // p)
-            assert table_t[a0, idx] == p - 1  # a0 on a full fiber in all three
-        _, flag_j, flag_k = grid_fiber_report(aset, 0).fibered
+            assert table[a0, idx] == p - 1  # a0 on a full fiber in all three
+        _, flag_j, flag_k = grid_fiber_report(aset, 0)
         assert not flag_j and not flag_k
 
     def test_no_fiber_direction_empty(self, m11025, flat11025):
         # remove one point per i-fiber: no complete i-fibers remain
         pts = [x for x in flat11025.a.elements() if x != 0]
-        t = TilingInstance(m11025, Multiset.from_set(m11025, pts), flat11025.b)
-        part = ijk_partition(t)
-        assert 0 not in part.sets[0]
+        assert not ijk_partition(Multiset.from_set(m11025, pts))[0, 0]
 
     def test_wrong_arity(self, m225):
-        t = TilingInstance.from_sets(m225, [0], [0])
         with pytest.raises(ValueError):
-            ijk_partition(t)
+            ijk_partition(Multiset.from_set(m225, [0]))
 
 
 def _proper_subsets(p: int) -> list[tuple[int, ...]]:
@@ -540,7 +540,7 @@ class TestMissingTopDifference:
         pts = sorted({(r + t * (mod.m // 7)) % mod.m for r in roots for t in range(7)})
         a = Multiset.from_set(mod, pts)
         top_i = mod.m // 3
-        assert top_i not in div_set(a).members
+        assert top_i not in div_set(a)
         rep = missing_top_difference_fibering(a, mod.m, 0)
         assert rep.applicable and rep.holds
         assert all(d == 2 for _, d in rep.per_grid)

@@ -1,10 +1,11 @@
-"""Verifiers, divisor sets, the box table and box product, saturating sets,
-spans and the enhanced divisor exclusion.
+"""Verifiers, divisor sets and their cache, the box table and box product,
+saturating sets, spans and the enhanced divisor exclusion.
 
 The scalar box, box product, saturating sets, spans and the enhanced divisor
 exclusion live here as test code: the box and the scalar box product are the
-oracles for `TilingInstance.box_table` and `box_product_sweep_is_one`, and the
-rest are lemma-shaped checks swept over tilings.
+oracles for `box_table` and `box_product_sweep_is_one`, and the rest are
+lemma-shaped checks swept over tilings.  Div(A) is cached on the multiset;
+`TestDivCache` counts its evaluations along `classify`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from cyclotile import (
     Multiset,
     TilingInstance,
     box_product_sweep_is_one,
+    box_table,
+    classify,
     div_set,
     verify_direct,
     verify_poly,
     verify_sands,
 )
-from tests_helpers import Inapplicable, admissible_pair_mask
+import cyclotile.tiling as tiling
+from tests_helpers import Inapplicable, admissible_pair_mask, shifted_instance
 
 
 # -- boxes and the box product, scalar ----------------------------------------------
@@ -91,7 +95,7 @@ def saturating_set(t: TilingInstance, x: int, y: int | None = None) -> tuple[int
     sup = np.flatnonzero(t.a.weights)
     dx = g[(x - sup) % mod.m]
     if y is None:
-        allowed = t.div_b()
+        allowed = div_set(t.b)
         keep = [int(a) for a, d in zip(sup, dx) if int(d) in allowed]
     else:
         sb = np.flatnonzero(t.b.weights)
@@ -153,8 +157,8 @@ def enhanced_divisor_exclusion(
     i2 = mod.divisor_index(m2)
     if not admissible_pair_mask(mod)[i1, i2]:
         raise Inapplicable("both scales full, or equal non-full exponents")
-    ta = t.box_table("a")
-    tb = t.box_table("b")
+    ta = box_table(t.a)
+    tb = box_table(t.b)
     prod = (
         int(ta[x % mod.m, i1])
         * int(ta[x % mod.m, i2])
@@ -214,16 +218,16 @@ class TestVerifiers:
 
 class TestDivSets:
     def test_singleton(self, m12):
-        assert div_set(Multiset.from_set(m12, [0])).members == {12}
+        assert div_set(Multiset.from_set(m12, [0])) == {12}
 
     def test_pair(self, m12):
-        assert div_set(Multiset.from_set(m12, [0, 6])).members == {12, 6}
+        assert div_set(Multiset.from_set(m12, [0, 6])) == {12, 6}
 
     def test_verify_sands_example(self, m4):
         a = Multiset.from_set(m4, [0, 2])
         b = Multiset.from_set(m4, [0, 1])
-        assert div_set(a).members == {4, 2}
-        assert div_set(b).members == {4, 1}
+        assert div_set(a) == {4, 2}
+        assert div_set(b) == {4, 1}
 
     @pytest.mark.parametrize("m", [12, 36, 225, 11025])
     def test_matches_set_definition(self, m):
@@ -241,8 +245,48 @@ class TestDivSets:
                 sets += [coset, coset + [d % 7 + d // 2]]
         for a in sets:
             expect = {gcd(x - y, m) for x in a for y in a}
-            got = div_set(Multiset.from_set(mod, a))
-            assert got.members == expect and got.scale == m, (m, a)
+            assert div_set(Multiset.from_set(mod, a)) == expect, (m, a)
+
+
+class TestDivCache:
+    """Div is computed once per multiset; counted, not timed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        seen: list[Multiset] = []
+        kernel = tiling._divisor_set
+
+        def counted(a):
+            seen.append(a)
+            return kernel(a)
+
+        monkeypatch.setattr(tiling, "_divisor_set", counted)
+        return seen
+
+    @staticmethod
+    def _fresh(t: TilingInstance) -> TilingInstance:
+        return TilingInstance.from_sets(t.modulus, t.a.elements(), t.b.elements())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_classify_evaluates_div_b_once(self, flat11025, evaluations, seed):
+        # reduce_to_grid reads Div(B) for its lookups, and every replayed
+        # fiber_shift re-verifies with verify_sands on the same B
+        t = self._fresh(shifted_instance(flat11025, 2, seed))
+        evaluations.clear()
+        report = classify(t)
+        assert report.trace is not None and report.trace.moves
+        assert sum(a == t.b for a in evaluations) == 1
+
+    def test_cached_value_is_the_divisor_set(self, flat11025, evaluations):
+        t = self._fresh(shifted_instance(flat11025, 1, seed=4))
+        evaluations.clear()
+        assert verify_sands(t) and verify_sands(t)
+        assert [id(a) for a in evaluations] == [id(t.a), id(t.b)]
+        m = t.modulus.m
+        for side in (t.a, t.b):
+            pts = side.elements()
+            assert side._div == {gcd(x - y, m) for x in pts for y in pts}
+            assert div_set(side) is side._div
 
 
 class TestBoxes:
@@ -268,7 +312,7 @@ class TestBoxes:
 
     def test_box_table_consistency(self, m36):
         t = TilingInstance.from_sets(m36, [0, 1, 2, 27, 28, 29], [0, 6, 12, 18, 24, 30])
-        table = t.box_table("a")
+        table = box_table(t.a)
         for x in (0, 5, 19):
             bx = box(t.a, 36, x)
             for idx, d in enumerate(m36.divisors):
@@ -281,10 +325,10 @@ class TestBoxes:
         rng = np.random.Generator(np.random.PCG64(seed))
         a = Multiset(mod, rng.integers(0, 3, size=m))
         t = TilingInstance(mod, a, Multiset(mod, rng.integers(0, 2, size=m)))
-        for which in ("a", "b"):
-            table = t.box_table(which)
+        for side in (t.a, t.b):
+            table = box_table(side)
             for x in range(m):
-                bx = box(t.side(which), m, x)
+                bx = box(side, m, x)
                 assert table[x].tolist() == [bx.count(d) for d in mod.divisors]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +62,13 @@ class TestGcd:
 
         for x in range(1, 12):
             assert tab[x] == math.gcd(x, 12)
+
+    @pytest.mark.parametrize("m", [12, 36, 60, 225, 900, 11025, 27225])
+    def test_gcd_class_table_indexes_the_divisors(self, m):
+        mod = Modulus.of(m)
+        tab = mod.gcd_class_table()
+        assert tab.dtype == np.int64 and not tab.flags.writeable
+        assert tab.tolist() == [mod.divisor_index(mod.gcd_with(x, m)) for x in range(m)]
 
     @given(st.integers(0, 224), st.integers(0, 224))
     def test_gcd_symmetric_divides(self, x, y):
