@@ -7,25 +7,21 @@ weighted counts with alternating signs.  Nullity over all cuboids of the
 standard type is equivalent to divisibility by Phi_N.  This is the
 library's second route to cyclotomic divisibility: cyclo.phi_divides
 evaluates only the unit-offset cuboids (d_nu = N/p_nu) on A folded mod N,
-while `phi_divides_via_cuboids` sweeps every admissible offset.  Acceptance
-criterion 5 checks the two routes against an exact polynomial-division
-route of the test-suite's own.
+while `phi_divides_via_cuboids` sweeps every admissible offset over every
+base point of Z_N (`is_t_null` takes all N bases in one vectorized pass,
+tens of milliseconds at N = 11025).  Acceptance criterion 5 checks the two
+routes against an exact polynomial-division route of the test-suite's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
 import numpy as np
 
 from .multiset import Multiset
 from .zm import Modulus
-
-# Above this many cuboids, exhaustive nullity sweeps restrict base points to
-# one representative per translation grid where that is provably lossless.
-EXHAUSTIVE_RESTRICTION_THRESHOLD = 100_000
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,6 @@ class CuboidType:
         return tuple(
             step * u for u in range(1, p ** self.delta[nu]) if u % p != 0
         )
-
-    def count_cuboids(self) -> int:
-        return self.scale * prod(len(self.offset_choices(nu)) for nu in self.active)
 
 
 def n_cuboid_type(mod: Modulus, n_div: int) -> CuboidType:
@@ -110,29 +103,12 @@ def _null_on_bases(smear: np.ndarray, ctype: CuboidType, bases: np.ndarray) -> b
 
 
 def is_t_null(a: Multiset, ctype: CuboidType) -> bool:
-    """Whether every cuboid of the type evaluates to zero on A.
-
-    When the full enumeration is large and every active depth is 1, base
-    points are restricted to one representative per translation grid of the
-    offsets' span: a vertex function vanishing on all boxes cornered at a
-    fixed grid point vanishes on all boxes in that grid (the complement
-    decomposes into parts constant in some direction), and unit steps reach
-    every nonzero residue only at depth 1.
-    """
+    """Whether every cuboid of the type, over every base point of Z_N,
+    evaluates to zero on A."""
     smear = _smeared_weights(a, ctype)
     if not ctype.active:
         return not np.any(smear)
-    n = ctype.scale
-    restrict = (
-        ctype.count_cuboids() > EXHAUSTIVE_RESTRICTION_THRESHOLD
-        and all(ctype.delta[nu] == 1 for nu in ctype.active)
-    )
-    if restrict:
-        e_grid = n // prod(ctype.modulus.primes[nu][0] for nu in ctype.active)
-        bases = np.arange(e_grid, dtype=np.int64)
-    else:
-        bases = np.arange(n, dtype=np.int64)
-    return _null_on_bases(smear, ctype, bases)
+    return _null_on_bases(smear, ctype, np.arange(ctype.scale, dtype=np.int64))
 
 
 def phi_divides_via_cuboids(s: int, a: Multiset) -> bool:

@@ -156,15 +156,6 @@ class CycloSpectrum:
     divisors: frozenset[int]
     prime_powers: frozenset[int]
 
-    def families(self) -> tuple[frozenset[int], ...]:
-        """Per-direction exponent families: alpha with Phi_{p_nu^alpha} | A."""
-        out = []
-        for p, n in self.modulus.primes:
-            out.append(
-                frozenset(a for a in range(1, n + 1) if p**a in self.prime_powers)
-            )
-        return tuple(out)
-
 
 def spectrum(a: Multiset) -> CycloSpectrum:
     """All s | m with s > 1 and Phi_s | A, plus the prime-power subset S_A."""

@@ -13,10 +13,13 @@ the counts at two grids) and two lookups over target - x built once per
 search.  A move that reaches a grid ends the search before any successor is
 built; otherwise all successors of the state are built as rows and keyed by
 their least translates in one call of the batched kernel
-`search.least_translates`.  The classifier dispatches tilings of odd
-3-prime square moduli through the structure detectors and reduction
-predicates, attaching machine-checked certificates to every branch it
-claims.
+`search.least_translates`.  `fiber_shift` applies one move with the same
+row builder and re-verifies the result; a `ReductionTrace` is the start, the
+moves and the final tiling, each move replayed through `fiber_shift`, so a
+trace that exists is valid and carries no verdicts of its own.  The
+classifier dispatches tilings of odd 3-prime square moduli through the
+structure detectors and reduction predicates, attaching machine-checked
+certificates to every branch it claims.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ def fiber_shift(t: TilingInstance, move: ShiftMove) -> TilingInstance:
     """Apply one fiber shift and re-verify everything the move must preserve.
 
     Requires the cofibered structure in the move's direction, a displacement
-    of exactly M/p^2, and vacant target cells.  The result is checked by all
-    three verifiers and must keep the prime-power spectrum of A; failures
-    raise (they indicate an illegal move or a caller bug)."""
+    of exactly M/p^2, and vacant target cells; root and target may be any
+    point of their fibers.  The new support is the search's own row
+    (`_successors`).  The result is checked by all three verifiers and must
+    keep the prime-power spectrum of A; failures raise (they indicate an
+    illegal move or a caller bug)."""
     mod = t.modulus
     nu = move.direction
     p, n = mod.primes[nu]
@@ -93,15 +98,18 @@ def fiber_shift(t: TilingInstance, move: ShiftMove) -> TilingInstance:
     roots = detect_cofibered(t, nu)
     if roots is None:
         raise ShiftError(f"no (1,2)-cofibered structure in direction {nu}")
-    if mod.gcd_with(move.root - move.target, mod.m) != mod.m // p**2:
+    if mod.gcd_table()[(move.root - move.target) % mod.m] != mod.m // p**2:
         raise ShiftError("target must sit at distance M/p^2 from the fiber")
-    if move.root % (mod.m // p) not in roots:
+    step = mod.m // p
+    if move.root % step not in roots:
         raise ShiftError("the declared fiber is not contained in A")
-    remaining = set(t.a.support()).difference(mod.fiber(move.root, nu))
-    new_fiber = mod.fiber(move.target, nu)
-    if not remaining.isdisjoint(new_fiber):
+    sup = np.flatnonzero(t.a.weights)
+    # At distance M/p^2 the target lies in another class mod M/p than the
+    # root, so any point of A in the target's class collides.
+    if (sup % step == move.target % step).any():
         raise ShiftError("target fiber collides with A")
-    new_a = Multiset.from_set(mod, sorted(remaining.union(new_fiber)))
+    row = _successors(mod, sup, np.array([[0, nu, move.root % step, move.target % step]]))[0]
+    new_a = Multiset(mod, np.bincount(row, minlength=mod.m))
     out = TilingInstance(mod, new_a, t.b)
     if not (verify_direct(out) and verify_poly(out) and verify_sands(out)):
         raise ShiftError("shift destroyed the tiling; caller bug")
@@ -115,17 +123,12 @@ def fiber_shift(t: TilingInstance, move: ShiftMove) -> TilingInstance:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """A verified chain of fiber shifts ending in a top-scale grid."""
+    """A chain of fiber shifts ending in a top-scale grid.  Each move was
+    replayed through `fiber_shift`, which re-verifies the tiling and S_A."""
 
     start: TilingInstance
     moves: tuple[ShiftMove, ...]
     final: TilingInstance
-    verdicts: tuple[bool, ...]
-    spectra: tuple[frozenset[int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts) and len(set(self.spectra)) <= 1
 
 
 def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | None:
@@ -142,8 +145,9 @@ def reduce_to_grid(t: TilingInstance, budget: int = 10_000) -> ReductionTrace | 
     grid, and the search returns on the first grid it adds.  So when a state
     has a move to a grid, the first such move in sort order is the answer,
     and the search returns it before building any successor of that state.
-    Returns a fully re-verified trace, or None when the budget is exhausted
-    (grids unreachable for slab-type instances).
+    Returns a trace whose every move was replayed through `fiber_shift`, or
+    None when the budget is exhausted (grids unreachable for slab-type
+    instances).
     """
     if not verify_direct(t):
         raise ValueError("reduction requires a verified tiling")
@@ -255,7 +259,7 @@ def _successors(mod: Modulus, sup: np.ndarray, moves: np.ndarray) -> np.ndarray:
     A, so each row drops exactly p points."""
     m, n = mod.m, len(sup)
     out = np.empty((len(moves), n), dtype=np.int64)
-    for nu in np.unique(moves[:, 1]).tolist():
+    for nu in np.flatnonzero(np.bincount(moves[:, 1])).tolist():
         p = mod.primes[nu][0]
         step = m // p
         sel = np.flatnonzero(moves[:, 1] == nu)
@@ -273,14 +277,14 @@ def _successors(mod: Modulus, sup: np.ndarray, moves: np.ndarray) -> np.ndarray:
 
 
 def _build_trace(t: TilingInstance, moves: tuple[ShiftMove, ...]) -> ReductionTrace:
-    verdicts = [verify_direct(t) and verify_poly(t) and verify_sands(t)]
-    spectra = [cyclo.s_a(t.a)]
+    """The trace of `moves` from `t`, each move replayed through
+    `fiber_shift`; raises ShiftError when a verifier rejects the start."""
+    if not (verify_direct(t) and verify_poly(t) and verify_sands(t)):
+        raise ShiftError("the verifiers disagree on the start tiling; library bug")
     cur = t
     for mv in moves:
-        cur = fiber_shift(cur, mv)  # re-verifies everything
-        verdicts.append(True)
-        spectra.append(cyclo.s_a(cur.a))
-    return ReductionTrace(t, moves, cur, tuple(verdicts), tuple(spectra))
+        cur = fiber_shift(cur, mv)
+    return ReductionTrace(t, moves, cur)
 
 
 # -- subgroup and slab reductions ----------------------------------------------------
@@ -459,7 +463,7 @@ def classify(t: TilingInstance, budget: int = 10_000) -> ClassificationReport:
             branch = "fibered-triple-grid"
             note = "triple intersection present but grid unreachable in budget"
         trace = reduce_to_grid(t, budget)
-        if trace is not None and trace.ok:
+        if trace is not None:
             report = certified(branch, trace.final, None, structures, trace)
             if report:
                 return report

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cyclo
 from .multiset import Multiset
-from .zm import Modulus
+from .zm import Modulus, euler_phi
 
 
 def _divisor_set(a: Multiset) -> frozenset[int]:
@@ -140,7 +140,7 @@ def box_product_sweep_is_one(t: TilingInstance, xs: np.ndarray, ys: np.ndarray) 
     integer arithmetic.  The identity is a theorem for tilings."""
     mod = t.modulus
     # Common denominator: L = lcm of phi(M/d); all phi values divide it.
-    phis = np.array([mod.phi_of_divisor(mod.m // d) for d in mod.divisors], dtype=np.int64)
+    phis = np.array([euler_phi(mod.m // d) for d in mod.divisors], dtype=np.int64)
     big = np.lcm.reduce(phis)
     weightvec = big // phis
     ta = box_table(t.a)[np.asarray(xs) % mod.m]

@@ -1,9 +1,11 @@
 """Exact arithmetic and geometry of the cyclic group Z_M.
 
 A modulus M = prod(p_nu ** n_nu) is kept in factored form.  Everything built
-on top of it (coordinates, divisor lattice, grids, lines, planes, fibers) is
-precomputed or memoized here because the higher layers query these objects in
-inner loops.
+on top of it (CRT coordinates, the divisor lattice, the dense gcd tables,
+grids and fibers) is precomputed or memoized here because the higher layers
+query these objects in inner loops.  Each primitive has one implementation:
+the totient is `euler_phi`, gcd with m is read from `gcd_table`, and a
+coordinate is `coord`, whose inverse is the sum of coord(x, nu) * M_nu.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -75,7 +77,7 @@ class Modulus:
     """Factored order of a cyclic group Z_m, with derived lookup tables.
 
     `primes` is strictly increasing; `m` is the product of the prime powers.
-    Use `Modulus.factored(...)` or `Modulus.of(m)` to construct.
+    Construct from the factorization, or with `Modulus.of(m)`.
     """
 
     primes: tuple[tuple[int, int], ...]
@@ -98,10 +100,6 @@ class Modulus:
         if m > MAX_MODULUS:
             raise ValueError(f"m={m} exceeds the dense-representation cap {MAX_MODULUS}")
         object.__setattr__(self, "m", m)
-
-    @staticmethod
-    def factored(*primes: tuple[int, int]) -> Modulus:
-        return Modulus(tuple(sorted(primes)))
 
     @staticmethod
     def of(m: int) -> Modulus:
@@ -139,24 +137,14 @@ class Modulus:
 
     @property
     def divisors(self) -> tuple[int, ...]:
-        return self._divisor_tables()[0]
-
-    def divisor_index(self, d: int) -> int:
-        idx = self._divisor_tables()[1].get(d)
-        if idx is None:
-            raise ValueError(f"{d} does not divide m={self.m}")
-        return idx
-
-    def is_divisor(self, d: int) -> bool:
-        return d in self._divisor_tables()[1]
+        return self._divisors()
 
     @lru_cache(maxsize=None)
-    def _divisor_tables(self) -> tuple[tuple[int, ...], dict[int, int]]:
+    def _divisors(self) -> tuple[int, ...]:
         divs = [1]
         for p, n in self.primes:
             divs = [d * p**e for d in divs for e in range(n + 1)]
-        divs.sort()
-        return tuple(divs), {d: i for i, d in enumerate(divs)}
+        return tuple(sorted(divs))
 
     def divisor_exponents(self, d: int) -> tuple[int, ...]:
         """Exponent vector (alpha_nu) of a divisor d of m."""
@@ -180,20 +168,6 @@ class Modulus:
     def d_of_m(self) -> int:
         return self.d_of(self.m)
 
-    def phi_of_divisor(self, d: int) -> int:
-        """Euler phi of a divisor of m (table lookup)."""
-        return self._phi_table()[self.divisor_index(d)]
-
-    @lru_cache(maxsize=None)
-    def _phi_table(self) -> tuple[int, ...]:
-        out = []
-        for d in self.divisors:
-            alphas = self.divisor_exponents(d)
-            out.append(
-                prod((p - 1) * p ** (a - 1) for (p, _), a in zip(self.primes, alphas) if a > 0)
-            )
-        return tuple(out)
-
     # -- gcd machinery ------------------------------------------------------
 
     @lru_cache(maxsize=None)
@@ -207,18 +181,12 @@ class Modulus:
 
     @lru_cache(maxsize=None)
     def gcd_class_table(self) -> np.ndarray:
-        """Dense table c[x] = divisor_index(gcd(x, m)); read-only int64 array."""
+        """Dense table c[x] = index of gcd(x, m) in `divisors`; read-only int64 array."""
         out = np.searchsorted(self.divisors, self.gcd_table()).astype(np.int64)
         out.setflags(write=False)
         return out
 
-    def gcd_with(self, x: int, n_div: int) -> int:
-        """(x, N): gcd of x with a divisor N of m, with (0, N) = N."""
-        if self.m % n_div != 0:
-            raise ValueError(f"{n_div} does not divide m={self.m}")
-        return gcd(x % n_div, n_div) if x % n_div else n_div
-
-    # -- array coordinates ----------------------------------------------------
+    # -- CRT coordinates --------------------------------------------------------
 
     @lru_cache(maxsize=None)
     def _coord_units(self) -> tuple[int, ...]:
@@ -231,23 +199,13 @@ class Modulus:
         return tuple(units)
 
     def coord(self, x, nu: int):
-        """pi_nu(x) of an integer, or of each entry of an integer array."""
+        """pi_nu(x) of an integer, or of each entry of an integer array: the
+        coordinates 0 <= pi_nu(x) < p_nu^{n_nu} with x = sum pi_nu(x) * M_nu
+        mod m."""
         q = self.prime_power(nu)
         return (x % q) * self._coord_units()[nu] % q
 
-    def array_coords(self, x: int) -> tuple[int, ...]:
-        """CRT coordinates (pi_nu(x)) with x = sum pi_nu(x) * M_nu mod m."""
-        return tuple(self.coord(x, nu) for nu in range(self.num_primes))
-
-    def from_coords(self, coords: tuple[int, ...] | list[int]) -> int:
-        if len(coords) != self.num_primes:
-            raise ValueError("coordinate vector has wrong length")
-        for nu, c in enumerate(coords):
-            if not 0 <= c < self.prime_power(nu):
-                raise ValueError(f"coordinate {c} out of range for {self.primes[nu]}")
-        return sum(c * self.m_nu(nu) for nu, c in enumerate(coords)) % self.m
-
-    # -- grids, lines, planes, fibers ----------------------------------------
+    # -- grids and fibers --------------------------------------------------------
 
     def grid(self, x: int, d: int) -> tuple[int, ...]:
         """Lambda(x, D) = x + D*Z_m, as a sorted tuple of m/D elements."""
@@ -255,19 +213,6 @@ class Modulus:
             raise ValueError(f"{d} does not divide m={self.m}")
         x %= d
         return tuple(range(x, self.m, d))
-
-    def line(self, x: int, nu: int) -> tuple[int, ...]:
-        """Line through x in the p_nu direction: Lambda(x, M_nu)."""
-        return self.grid(x, self.m_nu(nu))
-
-    def plane(self, x: int, p_power: int) -> tuple[int, ...]:
-        """Plane through x perpendicular to a prime direction: Lambda(x, p^alpha)."""
-        nu = self.index_of_prime(factorize(p_power)[0][0]) if p_power > 1 else 0
-        if p_power != 1:
-            p, n = self.primes[nu]
-            if p_power not in {p**a for a in range(1, n + 1)}:
-                raise ValueError(f"{p_power} is not a prime power dividing m")
-        return self.grid(x, p_power)
 
     def fiber(self, x: int, nu: int) -> tuple[int, ...]:
         """M-fiber through x in the p_nu direction: Lambda(x, m/p_nu), p_nu points."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from cyclotile import (
     classify,
     cyclotomic,
     enumerate_tilings,
+    euler_phi,
     fiber_shift,
     find_complements,
     phi_divides,
@@ -176,7 +177,7 @@ def _process_split(mod: Modulus, instances, stats: SweepStats, label: str) -> No
     """Run the per-instance and batched checks of criteria 2/3/4/9."""
     m = mod.m
     checker = BatchChecker(mod)
-    phis = np.array([mod.phi_of_divisor(m // d) for d in mod.divisors], dtype=np.int64)
+    phis = np.array([euler_phi(m // d) for d in mod.divisors], dtype=np.int64)
     big = int(np.lcm.reduce(phis))
     wvec = big // phis
     admissible = admissible_pair_mask(mod)
@@ -325,7 +326,7 @@ def _sands_accepted(a: tuple[int, ...], mod: Modulus) -> list[tuple[int, ...]]:
     m = mod.m
     target = m // len(a)
     div_a = div_set(Multiset.from_set(mod, a)) - {m}
-    bad = [d for d in range(1, m) if mod.gcd_with(d, m) in div_a]
+    bad = [d for d in range(1, m) if gcd(d, m) in div_a]
     badmask = 0
     for d in bad:
         badmask |= 1 << d

@@ -127,6 +127,20 @@ class TestShiftAndSearch:
         payload = json.loads(capsys.readouterr().out)
         assert 25 in payload["a"] and 0 not in payload["a"]
 
+    @pytest.mark.parametrize(
+        "prime, least, other",
+        # roots and targets each moved to another point of their fiber
+        [(3, (0, 25), (150, 100)), (5, (0, 9), (180, 54))],
+    )
+    def test_shift_non_least_root_same_file(self, flat225_file, tmp_path, prime, least, other):
+        outs = []
+        for i, (root, to) in enumerate((least, other)):
+            out = tmp_path / f"out{i}.json"
+            argv = ["shift", flat225_file, "--dir", str(prime), "--root", str(root), "--to", str(to)]
+            assert main(argv + ["-o", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
     def test_shift_illegal_exit_two(self, flat225_file):
         assert main(["shift", flat225_file, "--dir", "3", "--root", "0", "--to", "1"]) == 2
 

@@ -24,7 +24,6 @@ from cyclotile import (
     phi_divides,
     phi_divides_via_cuboids,
 )
-from cyclotile.cuboid import EXHAUSTIVE_RESTRICTION_THRESHOLD, _null_on_bases, _smeared_weights
 
 
 # -- the scalar oracle ---------------------------------------------------------------
@@ -179,7 +178,7 @@ class TestEnumeration:
         ct = n_cuboid_type(m12, 12)
         assert ct.offset_choices(0) == (6,)
         assert ct.offset_choices(1) == (4, 8)
-        assert ct.count_cuboids() == sum(1 for _ in cuboids(ct)) == 12 * 1 * 2
+        assert sum(1 for _ in cuboids(ct)) == 12 * 1 * 2
 
     def test_vertices_signs(self, m12):
         ct = n_cuboid_type(m12, 12)
@@ -233,21 +232,20 @@ class TestNullity:
 
     @pytest.mark.parametrize("m, seed", [(12, 1), (36, 2), (100, 3), (225, 4)])
     def test_matches_scalar_oracle(self, m, seed):
-        # below the restriction threshold is_t_null sweeps every base through
-        # _null_on_bases; the oracle evaluates every cuboid vertex by vertex
+        # is_t_null sweeps every base through _null_on_bases; the oracle
+        # evaluates every cuboid vertex by vertex
         mod = Modulus.of(m)
         verdicts = []
         for ct in _oracle_types(mod):
-            assert ct.count_cuboids() <= EXHAUSTIVE_RESTRICTION_THRESHOLD
             for a in _oracle_sets(mod, seed):
                 null = is_t_null(a, ct)
                 assert null == oracle_is_t_null(a, ct)
                 verdicts.append(null)
         assert any(verdicts) and not all(verdicts)
 
-    def test_restricted_bases_at_11025(self, m11025, flat11025):
-        # above the threshold is_t_null reads one base per translation grid;
-        # every base must give the same verdict, and so must Phi_s | A
+    def test_full_sweep_at_11025(self, m11025, flat11025):
+        # at the three largest scales is_t_null sweeps every base, as at
+        # every scale, and must agree with Phi_s | A
         from tests_helpers import shifted_instance
 
         rng = np.random.Generator(np.random.PCG64(11))
@@ -264,17 +262,10 @@ class TestNullity:
             Multiset(m11025, rng.integers(0, 2, size=11025)),
         ]
         verdicts = []
-        threshold = EXHAUSTIVE_RESTRICTION_THRESHOLD
-        scales = [
-            s for s in m11025.divisors[1:] if n_cuboid_type(m11025, s).count_cuboids() > threshold
-        ]
-        assert scales == [2205, 3675, 11025]
-        for s in scales:
+        for s in (2205, 3675, 11025):
             ct = n_cuboid_type(m11025, s)
-            every_base = np.arange(s, dtype=np.int64)
             for a in sets:
                 null = is_t_null(a, ct)
-                assert null == _null_on_bases(_smeared_weights(a, ct), ct, every_base)
                 assert null == phi_divides(s, a)
                 verdicts.append(null)
         assert any(verdicts) and not all(verdicts)

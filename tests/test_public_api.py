@@ -1,9 +1,15 @@
-"""Every exported name has a caller inside the library, or a stated reason.
+"""Every exported name, and every public member of `Modulus`, has a caller
+inside the library, or a stated reason.
 
 A public function that only tests call is either a statement an acceptance
 criterion checks, or an oracle that belongs in the tests.  This scan keeps
 `cyclotile.__all__` honest: a name counts as used when some module of the
 package other than `__init__` refers to it outside its own definition.
+`Modulus` is the primitive every layer builds on, so its public methods and
+properties are held to the same rule: each must be read as an attribute
+somewhere in the package outside its own definition.  The attribute scan goes
+by name, not by type, so a read of a same-named attribute of another object
+also counts.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ NO_CALLER = {
     "detect_extended_corner": "criterion 8: the extended corner of the structure taxonomy",
     "phi_divides_via_cuboids": "criterion 5: the cuboid route to Phi_s | A",
     "plane_bound_check": "criterion 9: the plane bound of a tile",
-    "euler_phi": "arithmetic primitive: the totient of any n, not only of divisors of m",
 }
+
+# Public members of Modulus with no attribute read in the library, each with
+# its reason.
+MODULUS_NO_CALLER: dict[str, str] = {}
 
 
 def _bindings(tree: ast.Module, module: str) -> dict[str, tuple[str, str | None]]:
@@ -82,6 +91,27 @@ def _library_references() -> set[tuple[str, str]]:
     return out
 
 
+def _attribute_reads(path: Path, cls: str) -> set[str]:
+    """Names read as an attribute (`x.name`) in the module, outside the body
+    of the method `name` of class `cls`."""
+    found: set[str] = set()
+
+    def walk(node: ast.AST, klass: str | None, own: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            klass = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if klass == cls and own is None:
+                own = node.name
+            klass = None
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, klass, own)
+
+    walk(ast.parse(path.read_text()), None, None)
+    return found
+
+
 def _exported() -> dict[str, tuple[str, str]]:
     """Exported name -> (defining module, name), modules left out."""
     out = {}
@@ -99,6 +129,43 @@ def test_every_export_has_a_caller_or_a_reason():
         "exports without a caller in src/cyclotile must be listed in NO_CALLER "
         "with a reason, and a listed name that gained a caller must leave it"
     )
+
+
+def test_every_modulus_member_is_read_or_has_a_reason():
+    reads: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        reads |= _attribute_reads(path, "Modulus")
+    members = {name for name in vars(cyclotile.Modulus) if not name.startswith("_")}
+    assert "gcd_table" in members and "divisors" in members
+    unread = sorted(members - reads)
+    assert unread == sorted(MODULUS_NO_CALLER), (
+        "public members of Modulus that src/cyclotile never reads must be listed "
+        "in MODULUS_NO_CALLER with a reason, and a listed one that gained a "
+        "reader must leave it"
+    )
+
+
+def test_attribute_scan_flags_an_uncalled_method(tmp_path):
+    mod = tmp_path / "demo.py"
+    box = (
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def rec(self, n):\n"
+        "        return self.rec(n - 1) if n else self.used()\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return 2\n"
+    )
+    mod.write_text(box)
+    reads = _attribute_reads(mod, "Box")
+    assert "used" in reads
+    # a method read only inside its own body, or never, is flagged
+    assert "rec" not in reads and "unused" not in reads
+    # a read inside a same-named method of another class counts
+    mod.write_text(box + "\n\nclass Other:\n    def rec(self, box):\n        return box.rec(0)\n")
+    assert "rec" in _attribute_reads(mod, "Box")
 
 
 def test_scan_sees_calls():

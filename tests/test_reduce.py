@@ -37,6 +37,7 @@ from tests_helpers import (
     layered_tiling,
     shifted_instance,
     slab_tiling,
+    valid_shift_moves,
 )
 
 
@@ -82,6 +83,18 @@ def oracle_scored_moves(t: TilingInstance, support: frozenset[int]):
                 reaches_grid = bool(nxt_counts.max() == len(support) == m // d)
                 out.append((score, nu, r, target, reaches_grid))
     return sorted(out)
+
+
+def oracle_fiber_shift(t: TilingInstance, move: ShiftMove) -> list[int] | None:
+    """A's support after the move, applied with Python sets of
+    `Modulus.fiber` tuples: the root fiber dropped, the target fiber added.
+    None when the target fiber meets the rest of A."""
+    mod = t.modulus
+    remaining = set(t.a.support()).difference(mod.fiber(move.root, move.direction))
+    new_fiber = mod.fiber(move.target, move.direction)
+    if not remaining.isdisjoint(new_fiber):
+        return None
+    return sorted(remaining.union(new_fiber))
 
 
 # reduce_to_grid's moves on shifted_instance(flat11025, k, seed) at a budget,
@@ -170,8 +183,10 @@ class TestFiberShift:
         assert back.a == flat225.a
 
     def test_wrong_distance(self, flat225):
-        with pytest.raises(ShiftError):
-            fiber_shift(flat225, ShiftMove(0, 0, 1))
+        # (target, 225) must be 25: 75 and 0 lie in the root's own fiber
+        for target in (1, 45, 75, 0, 225):
+            with pytest.raises(ShiftError, match="distance"):
+                fiber_shift(flat225, ShiftMove(0, 0, target))
 
     def test_root_not_a_fiber_of_a(self, flat225):
         # 1 and 26 sit M/p^2 = 25 apart, but A = 15*Z_225 holds no fiber at 1
@@ -187,6 +202,26 @@ class TestFiberShift:
         with pytest.raises(ShiftError, match="collides"):
             fiber_shift(t, ShiftMove(0, 0, 25))
 
+    @pytest.mark.parametrize("name", ["flat225", "flat11025", "shifted11025"])
+    def test_matches_set_oracle(self, request, flat11025, name):
+        # every legal move, with root and target each given as the least
+        # point of its fiber and as another point of it
+        if name == "shifted11025":
+            t = shifted_instance(flat11025, 2, 1)
+        else:
+            t = request.getfixturevalue(name)
+        mod = t.modulus
+        moves = valid_shift_moves(t)
+        assert moves
+        for mv in moves:
+            p = mod.primes[mv.direction][0]
+            step = mod.m // p
+            expect = tuple(oracle_fiber_shift(t, mv))
+            root, target = mv.root % step, mv.target % step
+            for r, tg in ((root, target), (root + step, target + (p - 1) * step)):
+                out = fiber_shift(t, ShiftMove(mv.direction, r, tg))
+                assert out.a.elements() == expect and out.b is t.b
+
     def test_shift_at_11025(self, flat11025):
         out = fiber_shift(flat11025, ShiftMove(0, 0, 1225))
         assert verify_direct(out)
@@ -196,19 +231,20 @@ class TestFiberShift:
 class TestReduceToGrid:
     def test_already_grid(self, flat11025):
         tr = reduce_to_grid(flat11025, 10)
-        assert tr is not None and tr.ok and tr.moves == ()
+        assert tr is not None and tr.moves == ()
 
     def test_one_shift_back(self, flat225):
         shifted = fiber_shift(flat225, ShiftMove(0, 0, 25))
         tr = reduce_to_grid(shifted, 500)
-        assert tr is not None and tr.ok
+        assert tr is not None
         assert len(tr.moves) == 1
-        assert len(set(tr.spectra)) == 1
+        assert tr.start.a == shifted.a and tr.final.a == flat225.a
+        assert s_a(tr.final.a) == s_a(tr.start.a)
 
     def test_three_shift_roundtrip_11025(self, flat11025):
         shifted = shifted_instance(flat11025, 3, seed=7)
         tr = reduce_to_grid(shifted, 10_000)
-        assert tr is not None and tr.ok
+        assert tr is not None
         d = tr.final.modulus.d_of_m
         assert len({x % d for x in tr.final.a.elements()}) == 1
 
@@ -222,6 +258,17 @@ class TestReduceToGrid:
     def test_unverified_rejected(self, m4):
         with pytest.raises(ValueError):
             reduce_to_grid(TilingInstance.from_sets(m4, [0, 1], [0, 1]))
+
+    @pytest.mark.parametrize("verifier", ["verify_poly", "verify_sands"])
+    def test_start_rejected_by_a_verifier_raises(self, flat11025, monkeypatch, verifier):
+        # verify_direct accepts the start; another verifier rejecting it
+        # would be a library bug, and the trace refuses to build
+        t = shifted_instance(flat11025, 1, 1)
+        monkeypatch.setattr(reduce_mod, verifier, lambda t: False)
+        with pytest.raises(ShiftError, match="verifiers disagree"):
+            reduce_to_grid(t)
+        with pytest.raises(ShiftError, match="verifiers disagree"):
+            classify(t)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_MOVES), ids=lambda c: "-".join(map(str, c)))
     def test_golden_moves(self, flat11025, case):

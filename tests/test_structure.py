@@ -240,7 +240,7 @@ class TestIJK:
         table = box_table(t.a)
         on = ijk_partition(t.a)
         for nu, (p, _) in enumerate(mod.primes):
-            idx = mod.divisor_index(mod.m // p)
+            idx = mod.divisors.index(mod.m // p)
             expect = {x for x in t.a.support() if table[x, idx] == p - 1}
             assert set(np.flatnonzero(on[nu]).tolist()) == expect
 
@@ -256,7 +256,7 @@ class TestIJK:
         aset = Multiset.from_set(mod, pts)
         table = box_table(aset)
         for nu, p in ((0, 3), (1, 5), (2, 7)):
-            idx = mod.divisor_index(mod.m // p)
+            idx = mod.divisors.index(mod.m // p)
             assert table[a0, idx] == p - 1  # a0 on a full fiber in all three
         _, flag_j, flag_k = grid_fiber_report(aset, 0)
         assert not flag_j and not flag_k

@@ -27,6 +27,7 @@ from cyclotile import (
     box_table,
     classify,
     div_set,
+    euler_phi,
     verify_direct,
     verify_poly,
     verify_sands,
@@ -65,7 +66,7 @@ def box(a: Multiset, n_div: int, x: int, window: Iterable[int] | None = None) ->
     divs = [d for d in mod.divisors if n_div % d == 0]
     acc = dict.fromkeys(divs, 0)
     for elem in np.flatnonzero(src.weights):
-        g = mod.gcd_with(x - int(elem), n_div)
+        g = gcd(x - int(elem), n_div)
         acc[g] += int(src.weights[elem])
     return BoxView(n_div, x % mod.m, tuple((d, acc[d]) for d in divs))
 
@@ -78,7 +79,7 @@ def box_product(t: TilingInstance, x: int, y: int) -> Fraction:
     by = box(t.b, mod.m, y)
     out = Fraction(0)
     for d in mod.divisors:
-        out += Fraction(bx.count(d) * by.count(d), mod.phi_of_divisor(mod.m // d))
+        out += Fraction(bx.count(d) * by.count(d), euler_phi(mod.m // d))
     return out
 
 
@@ -111,12 +112,12 @@ def span(mod: Modulus, x: int, x2: int) -> frozenset[int]:
     Empty when (x - x', m) = m: the degenerate full-gcd case is fixed to the
     empty union.
     """
-    g = mod.gcd_with(x - x2, mod.m)
+    g = gcd(x - x2, mod.m)
     alphas = mod.divisor_exponents(g)
     out: set[int] = set()
     for nu, (p, n) in enumerate(mod.primes):
         if alphas[nu] < n:
-            out.update(mod.plane(x, p ** (alphas[nu] + 1)))
+            out.update(mod.grid(x, p ** (alphas[nu] + 1)))
     return frozenset(out)
 
 
@@ -151,10 +152,10 @@ def enhanced_divisor_exclusion(
     Outside them raises Inapplicable.
     """
     mod = t.modulus
-    if not (mod.is_divisor(m1) and mod.is_divisor(m2)):
+    if not (m1 in mod.divisors and m2 in mod.divisors):
         raise Inapplicable(f"{m1}, {m2} must divide m={mod.m}")
-    i1 = mod.divisor_index(m1)
-    i2 = mod.divisor_index(m2)
+    i1 = mod.divisors.index(m1)
+    i2 = mod.divisors.index(m2)
     if not admissible_pair_mask(mod)[i1, i2]:
         raise Inapplicable("both scales full, or equal non-full exponents")
     ta = box_table(t.a)
@@ -405,7 +406,7 @@ class TestSpans:
     def test_span_example(self, m225):
         # (x - x', 225) = 75 = 3 * 25: only the 3-exponent is below full
         s = span(m225, 0, 75)
-        assert s == frozenset(m225.plane(0, 9))
+        assert s == frozenset(m225.grid(0, 9))
 
     def test_bispan_symmetric(self, m225):
         for x, y in ((0, 75), (3, 17), (9, 9)):

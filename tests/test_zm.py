@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -23,15 +23,25 @@ def brute_coords(mod: Modulus, x: int) -> tuple[int, ...]:
     raise AssertionError("no coordinates found")
 
 
+def coords(mod: Modulus, x: int) -> tuple[int, ...]:
+    return tuple(mod.coord(x, nu) for nu in range(mod.num_primes))
+
+
+def from_coords(mod: Modulus, cs) -> int:
+    """The inverse of `coord`: x = sum pi_nu(x) * M_nu mod m."""
+    return sum(c * mod.m_nu(nu) for nu, c in enumerate(cs)) % mod.m
+
+
 class TestConstruction:
     def test_factored(self):
-        mod = Modulus.factored((3, 2), (5, 2), (7, 2))
+        mod = Modulus(((3, 2), (5, 2), (7, 2)))
         assert mod.m == 11025
         assert mod.prime_list == (3, 5, 7)
+        assert mod == Modulus.of(11025)
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
-            Modulus.factored((4, 1), (3, 1))
+            Modulus(((3, 1), (4, 1)))
 
     def test_rejects_duplicate_primes(self):
         with pytest.raises(ValueError):
@@ -39,7 +49,7 @@ class TestConstruction:
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
-            Modulus.factored((2, 21))
+            Modulus(((2, 21),))
 
     def test_factorize(self):
         assert factorize(11025) == [(3, 2), (5, 2), (7, 2)]
@@ -51,9 +61,9 @@ class TestConstruction:
 
 class TestGcd:
     def test_gcd_examples(self, m4, m225, m11025):
-        assert m4.gcd_with(2, 4) == 2
-        assert m225.gcd_with(0, 225) == 225
-        assert m11025.gcd_with(3675, 11025) == 3675
+        assert m4.gcd_table()[2] == 2
+        assert m225.gcd_table()[0] == 225
+        assert m11025.gcd_table()[3675] == 3675
 
     def test_gcd_table(self, m12):
         tab = m12.gcd_table()
@@ -68,49 +78,73 @@ class TestGcd:
         mod = Modulus.of(m)
         tab = mod.gcd_class_table()
         assert tab.dtype == np.int64 and not tab.flags.writeable
-        assert tab.tolist() == [mod.divisor_index(mod.gcd_with(x, m)) for x in range(m)]
+        index = {d: i for i, d in enumerate(mod.divisors)}
+        assert tab.tolist() == [index[gcd(x, m)] for x in range(m)]
 
     @given(st.integers(0, 224), st.integers(0, 224))
     def test_gcd_symmetric_divides(self, x, y):
+        # a negative difference -y indexes entry m - y, as the shift search
+        # and the Div kernel read it
         mod = Modulus.of(225)
-        for n in (225, 45, 15):
-            g = mod.gcd_with(x - y, n)
-            assert g == mod.gcd_with(y - x, n)
-            assert n % g == 0
+        tab = mod.gcd_table()
+        g = tab[x - y]
+        assert g == tab[y - x] == tab[(x - y) % 225]
+        assert 225 % g == 0 and (x - y) % g == 0
 
 
 class TestCoordinates:
     def test_single_prime_identity(self, m4):
-        assert m4.array_coords(3) == (3,)
+        assert coords(m4, 3) == (3,)
 
     def test_m12_example(self, m12):
-        assert m12.array_coords(7) == (1, 1)
-        assert m12.from_coords((1, 1)) == 7
+        assert coords(m12, 7) == (1, 1)
+        assert from_coords(m12, (1, 1)) == 7
 
     def test_m225_oracle(self, m225):
         # derived by exhaustive CRT solve
         assert brute_coords(m225, 15) == (6, 10)
-        assert m225.array_coords(15) == (6, 10)
+        assert coords(m225, 15) == (6, 10)
 
     def test_round_trip_all_of_z12(self, m12):
         for x in range(12):
-            assert m12.from_coords(m12.array_coords(x)) == x
+            assert from_coords(m12, coords(m12, x)) == x
 
     @given(st.integers(0, 11024))
     def test_round_trip_11025(self, x):
         mod = Modulus.of(11025)
-        assert mod.from_coords(mod.array_coords(x)) == x
+        assert from_coords(mod, coords(mod, x)) == x
 
     def test_zero(self, m225):
-        assert m225.from_coords((0, 0)) == 0
+        assert coords(m225, 0) == (0, 0)
+        assert from_coords(m225, (0, 0)) == 0
 
-    def test_coords_match_oracle_sampled(self, m225):
-        for x in (0, 1, 14, 44, 224, 100):
-            assert m225.array_coords(x) == brute_coords(m225, x)
+    def test_coords_match_oracle_sampled(self, m12, m225, m11025):
+        # every point of Z_12 and Z_225, sampled points of Z_11025
+        rng = np.random.default_rng(16)
+        for mod, xs in (
+            (m12, range(12)),
+            (m225, range(225)),
+            (m11025, [0, 1, 105, 3675, 11024, *rng.integers(11025, size=12).tolist()]),
+        ):
+            for x in xs:
+                assert coords(mod, x) == brute_coords(mod, x)
 
     def test_out_of_range_coordinate(self, m12):
-        with pytest.raises(ValueError):
-            m12.from_coords((4, 0))
+        # an integer outside [0, m) has the coordinates of its residue, each
+        # in range
+        for x in (-1, -13, 12, 19, 10**20 + 7):
+            got = coords(m12, x)
+            assert got == coords(m12, x % 12)
+            assert all(0 <= c < m12.prime_power(nu) for nu, c in enumerate(got))
+
+    @pytest.mark.parametrize("m", [12, 225, 11025])
+    def test_array_input_matches_scalar(self, m):
+        mod = Modulus.of(m)
+        xs = np.arange(m, dtype=np.int64)
+        for nu in range(mod.num_primes):
+            got = mod.coord(xs, nu)
+            assert got.dtype == np.int64
+            assert got.tolist() == [mod.coord(x, nu) for x in range(m)]
 
 
 class TestDivisorLattice:
@@ -128,11 +162,14 @@ class TestDivisorLattice:
             assert prod(p**a for (p, _), a in zip(m11025.primes, exps)) == d
 
     def test_phi_table(self, m36):
-        assert m36.phi_of_divisor(36) == euler_phi(36)
-        assert m36.phi_of_divisor(1) == 1
+        # the totients phi(m / d) that the box product reads, one per divisor
+        phis = [euler_phi(36 // d) for d in m36.divisors]
+        assert phis == [12, 6, 4, 6, 2, 2, 2, 1, 1]
+        assert phis == [sum(1 for k in range(36 // d) if gcd(k, 36 // d) == 1) for d in m36.divisors]
 
 
 class TestGridsLinesPlanesFibers:
+    # lines and planes are grids: Lambda(x, M_nu) and Lambda(x, p^alpha)
     def test_grid_full_divisor(self, m225):
         assert m225.grid(0, 225) == (0,)
 
@@ -154,14 +191,15 @@ class TestGridsLinesPlanesFibers:
         assert m11025.fiber(0, 0) == (0, 3675, 7350)
 
     def test_plane_size(self, m225):
-        p = m225.plane(0, 3)
+        # the plane through 0 perpendicular to the 3 direction
+        p = m225.grid(0, 3)
         assert len(p) == 75
         assert all(x % 3 == 0 for x in p)
 
     def test_fibers_partition_lines(self, m225):
         # each line in direction nu is a disjoint union of p^{n-1} fibers
         for nu in range(2):
-            line = set(m225.line(7, nu))
+            line = set(m225.grid(7, m225.m_nu(nu)))
             p, n = m225.primes[nu]
             fibers = set()
             covered: set[int] = set()

@@ -123,7 +123,8 @@ def layered_tiling(
     """A seeded tiling A (+) B = Z_M of M = (p q r)^2, built in layers along
     axis nu (prime p; q and r are the other two primes, in order).
 
-    Coordinates are those of `Modulus.from_coords`, so an M-fiber in
+    Coordinates are the CRT coordinates of `Modulus.coord`: the point of
+    coordinates (c_nu) is sum c_nu * M_nu mod M.  So an M-fiber in
     direction d steps coordinate d by p_d.  X_A (+) X_B = Z_{p^2}, one of the
     two being p*Z_{p^2} (it is X_A when `subgroup`) and the other a complete
     residue system mod p.  A is the union over x in X_A of {x} x A_x, where
@@ -152,7 +153,7 @@ def layered_tiling(
     def element(x: int, y: int, z: int) -> int:
         coords = [0, 0, 0]
         coords[nu], coords[j], coords[k] = x % p**2, y % q**2, z % r**2
-        return mod.from_coords(coords)
+        return sum(c * mod.m_nu(d) for d, c in enumerate(coords)) % mod.m
 
     x_a, x_b = [p * i for i in range(p)], residues(p)
     if not subgroup:
